@@ -43,7 +43,6 @@ from .filters import (
 from .mixing import MixSpec, mix
 from .spectrogram import SpectrogramMatrix, spectrogram
 from .vad import (
-    FrameDecision,
     VadConfig,
     VadResult,
     detect,
@@ -61,7 +60,6 @@ __all__ = [
     "CliConfig",
     "EvalReport",
     "FilterSpec",
-    "FrameDecision",
     "GridPoint",
     "LabeledClip",
     "MixSpec",

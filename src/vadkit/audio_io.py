@@ -217,6 +217,14 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     return AudioBuffer(y, target_rate_hz)
 
 
+def load_at_rate(path: str | Path, sample_rate_hz: int) -> AudioBuffer:
+    """Read a WAV file, resampling only when its rate is not sample_rate_hz."""
+    buffer, _ = read_wav(path)
+    if buffer.sample_rate_hz != sample_rate_hz:
+        buffer = resample(buffer, sample_rate_hz)
+    return buffer
+
+
 def _design_polyphase(up: int, source_rate: int, target_rate_hz: int) -> np.ndarray:
     """Prototype lowpass split into `up` branches of RESAMPLER_TAPS taps."""
     taps = _kernels.RESAMPLER_TAPS

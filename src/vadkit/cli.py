@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__, repro
-from .audio_io import AudioBuffer, read_wav, resample, write_wav
+from .audio_io import AudioBuffer, load_at_rate, read_wav, write_wav
 from .config import CliConfig, load_config
 from .corpus import generate_corpus
 from .errors import LengthMismatch, VadKitError
@@ -63,13 +63,6 @@ def _effective_config(args) -> CliConfig:
     )
 
 
-def _load_at_rate(path: str, sample_rate_hz: int) -> AudioBuffer:
-    buffer, _ = read_wav(path)
-    if buffer.sample_rate_hz != sample_rate_hz:
-        buffer = resample(buffer, sample_rate_hz)
-    return buffer
-
-
 def _write_json(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -78,7 +71,7 @@ def _write_json(payload: dict, path: str) -> None:
 
 def cmd_detect(args) -> int:
     config = _effective_config(args)
-    buffer = _load_at_rate(args.input, config.sample_rate_hz)
+    buffer = load_at_rate(args.input, config.sample_rate_hz)
     cascade = design_butterworth_bandpass(config.filter_spec())
     result = detect(buffer, cascade, config.vad_config())
 
@@ -113,9 +106,7 @@ def _speech_labels_for(path: str, override: str | None, duration_s: float):
 def cmd_mix(args) -> int:
     config = _effective_config(args)
     speech, _ = read_wav(args.speech)
-    ambient, _ = read_wav(args.ambient)
-    if ambient.sample_rate_hz != speech.sample_rate_hz:
-        ambient = resample(ambient, speech.sample_rate_hz)
+    ambient = load_at_rate(args.ambient, speech.sample_rate_hz)
     if len(ambient) < len(speech):
         raise LengthMismatch(
             f"ambient clip ({len(ambient)} samples) is shorter than speech ({len(speech)})"
@@ -150,7 +141,7 @@ def cmd_mix(args) -> int:
 
 def cmd_spectrogram(args) -> int:
     config = _effective_config(args)
-    buffer = _load_at_rate(args.input, config.sample_rate_hz)
+    buffer = load_at_rate(args.input, config.sample_rate_hz)
     matrix = spectrogram(buffer, fft_size=config.fft_size, hop_samples=config.spectrogram_hop)
     stem = os.path.splitext(args.input)[0]
     if args.format == "json":

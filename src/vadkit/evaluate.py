@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer, read_wav, resample
+from .audio_io import AudioBuffer, load_at_rate
 from .errors import LabelOutOfRange, SweepFailure, VadKitError
 from .filters import BiquadCascade, apply_cascade
-from .vad import VadConfig, VadResult, detect_prefiltered
+from .vad import VadConfig, VadResult, config_to_dict, detect_prefiltered
 
 
 @dataclass(frozen=True)
@@ -85,31 +85,35 @@ class SweepResult:
 def truth_frame_flags(result: VadResult, clip: LabeledClip) -> np.ndarray:
     """Boolean ground truth per detector frame via the half-overlap rule."""
     window = result.config.window_length_s
-    clip_end = result.frames[-1].start_s + window if result.frames else 0.0
+    starts = result.frames.start_s
+    clip_end = float(starts[-1]) + window if len(starts) else 0.0
     for start, end in clip.speech_intervals:
         if end > clip_end + window:
             raise LabelOutOfRange(
                 f"interval ({start}, {end}) runs past the clip end ({clip_end:.3f} s) in {clip.audio_path}"
             )
-    flags = np.zeros(len(result.frames), dtype=bool)
-    for i, frame in enumerate(result.frames):
-        f_start = frame.start_s
-        f_end = f_start + window
-        covered = 0.0
-        for start, end in clip.speech_intervals:
-            covered += max(0.0, min(f_end, end) - max(f_start, start))
-        flags[i] = covered >= 0.5 * window
-    return flags
+    ends = starts + window
+    covered = np.zeros(len(starts))
+    for start, end in clip.speech_intervals:
+        covered += np.maximum(0.0, np.minimum(ends, end) - np.maximum(starts, start))
+    return covered >= 0.5 * window
+
+
+def _confusion_counts(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """(tp, fp, tn, fn) along the first axis, each summed over the frame axis."""
+    return np.stack(
+        [
+            np.sum(predicted & truth, axis=-1),
+            np.sum(predicted & ~truth, axis=-1),
+            np.sum(~predicted & ~truth, axis=-1),
+            np.sum(~predicted & truth, axis=-1),
+        ]
+    )
 
 
 def score(result: VadResult, clip: LabeledClip) -> EvalReport:
-    truth = truth_frame_flags(result, clip)
-    predicted = np.array([f.is_speech for f in result.frames], dtype=bool)
-    tp = int(np.sum(predicted & truth))
-    fp = int(np.sum(predicted & ~truth))
-    tn = int(np.sum(~predicted & ~truth))
-    fn = int(np.sum(~predicted & truth))
-    return EvalReport.from_counts(tp, fp, tn, fn, result.config)
+    counts = _confusion_counts(result.frames.is_speech, truth_frame_flags(result, clip))
+    return EvalReport.from_counts(*counts.tolist(), result.config)
 
 
 def combine_reports(reports, config: VadConfig) -> EvalReport:
@@ -160,17 +164,22 @@ def save_manifest(clips, path) -> None:
         fh.write("\n")
 
 
+def _parallel_map(fn, args: list[tuple], jobs: int) -> list:
+    """[fn(*a) for a in args], over a process pool when jobs > 1; order kept."""
+    if jobs < 1:
+        raise VadKitError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1 and len(args) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*args)))
+    return [fn(*a) for a in args]
+
+
 def _load_filtered(clip: LabeledClip, cascade: BiquadCascade) -> AudioBuffer:
-    buffer, _ = read_wav(clip.audio_path)
-    if buffer.sample_rate_hz != cascade.spec.sample_rate_hz:
-        buffer = resample(buffer, cascade.spec.sample_rate_hz)
-    return apply_cascade(cascade, buffer)
+    return apply_cascade(cascade, load_at_rate(clip.audio_path, cascade.spec.sample_rate_hz))
 
 
-def _eval_one_clip(args):
-    clip, cascade, config = args
-    result = detect_prefiltered(_load_filtered(clip, cascade), config)
-    return score(result, clip)
+def _eval_one_clip(clip: LabeledClip, cascade: BiquadCascade, config: VadConfig) -> EvalReport:
+    return score(detect_prefiltered(_load_filtered(clip, cascade), config), clip)
 
 
 def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int = 1):
@@ -179,43 +188,8 @@ def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int =
     Returns (aggregate report, list of (clip, per-clip report)). Results are
     ordered by the input clip list regardless of job count.
     """
-    args = [(clip, cascade, config) for clip in clips]
-    if jobs > 1 and len(clips) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_eval_one_clip, args))
-    else:
-        reports = [_eval_one_clip(a) for a in args]
+    reports = _parallel_map(_eval_one_clip, [(clip, cascade, config) for clip in clips], jobs)
     return combine_reports(reports, config), list(zip(clips, reports))
-
-
-# Worker state for sweep pools: filtered audio is shipped once per worker
-# through the initializer instead of once per grid point.
-_SWEEP_STATE: dict = {}
-
-
-def _sweep_init(payload):
-    _SWEEP_STATE["payload"] = payload
-
-
-def _sweep_point(point):
-    window_s, threshold_db = point
-    filtered, clips, base_config = _SWEEP_STATE["payload"]
-    try:
-        config = dataclasses.replace(
-            base_config,
-            window_length_s=window_s,
-            snr_threshold_db=threshold_db,
-            hop_length_s=None,
-        )
-        reports = []
-        for buffer, clip in zip(filtered, clips):
-            result = detect_prefiltered(buffer, config)
-            reports.append(score(result, clip))
-        return combine_reports(reports, config)
-    except VadKitError as exc:
-        raise SweepFailure(
-            f"grid point (window={window_s}, threshold={threshold_db}): {exc}"
-        ) from exc
 
 
 def sweep(
@@ -228,9 +202,11 @@ def sweep(
 ) -> SweepResult:
     """Grid search over window length and SNR threshold.
 
-    Each clip is read and bandpassed once; the filter stage does not depend
-    on the swept parameters. Best point maximizes F1, ties broken by lower
-    threshold, then shorter window.
+    Each clip is read and bandpassed once (over `jobs` processes), and the
+    detector runs once per (clip, window): only the final comparison depends
+    on the threshold, so every threshold is scored from that run's SNR
+    column. Best point maximizes F1, ties broken by lower threshold, then
+    shorter window.
     """
     windows_s = [float(w) for w in windows_s]
     thresholds_db = [float(t) for t in thresholds_db]
@@ -238,24 +214,35 @@ def sweep(
         raise SweepFailure("sweep needs at least one clip, window, and threshold")
     if base_config is None:
         base_config = VadConfig()
-    filtered = [_load_filtered(clip, cascade) for clip in clips]
-    payload = (filtered, list(clips), base_config)
-    points = [(w, t) for w in windows_s for t in thresholds_db]
+    filtered = _parallel_map(_load_filtered, [(clip, cascade) for clip in clips], jobs)
+    thresholds = np.array(thresholds_db)[:, None]
 
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_sweep_init, initargs=(payload,)) as pool:
-            reports = list(pool.map(_sweep_point, points))
-    else:
-        _sweep_init(payload)
+    grid = []
+    for window_s in windows_s:
+        counts = np.zeros((4, len(thresholds_db)), dtype=np.int64)
         try:
-            reports = [_sweep_point(p) for p in points]
-        finally:
-            _SWEEP_STATE.clear()
-
-    grid = tuple(
-        GridPoint(window_s=w, threshold_db=t, report=r)
-        for (w, t), r in zip(points, reports)
-    )
+            config = dataclasses.replace(
+                base_config,
+                window_length_s=window_s,
+                snr_threshold_db=thresholds_db[0],
+                hop_length_s=None,
+            )
+            for buffer, clip in zip(filtered, clips):
+                result = detect_prefiltered(buffer, config)
+                predicted = result.frames.snr_db >= thresholds
+                counts += _confusion_counts(predicted, truth_frame_flags(result, clip))
+        except VadKitError as exc:
+            # No check in detection or scoring depends on the threshold, so a
+            # failure names the first one, as it would point by point.
+            raise SweepFailure(
+                f"grid point (window={window_s}, threshold={thresholds_db[0]}): {exc}"
+            ) from exc
+        for threshold_db, point_counts in zip(thresholds_db, counts.T.tolist()):
+            report = EvalReport.from_counts(
+                *point_counts, dataclasses.replace(config, snr_threshold_db=threshold_db)
+            )
+            grid.append(GridPoint(window_s=window_s, threshold_db=threshold_db, report=report))
+    grid = tuple(grid)
     best = min(grid, key=lambda g: (-g.report.f1, g.threshold_db, g.window_s))
     return SweepResult(grid=grid, best=best)
 
@@ -270,13 +257,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "precision": report.precision,
         "recall": report.recall,
         "f1": report.f1,
-        "config": {
-            "window_length_s": report.config.window_length_s,
-            "snr_threshold_db": report.config.snr_threshold_db,
-            "hop_length_s": report.config.hop_s,
-            "noise_percentile": report.config.noise_percentile,
-            "energy_floor": report.config.energy_floor,
-        },
+        "config": config_to_dict(report.config),
     }
 
 

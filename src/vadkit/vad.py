@@ -52,18 +52,16 @@ class VadConfig:
         return max(1, int(round(self.hop_s * sample_rate_hz)))
 
 
-@dataclass(frozen=True)
-class FrameDecision:
-    index: int
-    start_s: float
-    energy_db: float
-    snr_db: float
-    is_speech: bool
+# One record per frame; `VadResult.frames` is a recarray of this dtype, so
+# columns read as `frames.snr_db` and records as `frame.snr_db`.
+FRAME_DTYPE = np.dtype(
+    [("index", np.int64), ("start_s", float), ("energy_db", float), ("snr_db", float), ("is_speech", bool)]
+)
 
 
 @dataclass(frozen=True)
 class VadResult:
-    frames: tuple[FrameDecision, ...]
+    frames: np.recarray
     intervals: tuple[tuple[float, float], ...]
     noise_power_db: float
     config: VadConfig
@@ -115,26 +113,18 @@ def estimate_noise_floor_db(energies_db: np.ndarray, config: VadConfig) -> float
     return max(value, 10.0 * math.log10(config.energy_floor))
 
 
-def merge_intervals(frames: tuple[FrameDecision, ...], config: VadConfig) -> tuple[tuple[float, float], ...]:
+def merge_intervals(frames: np.recarray, config: VadConfig) -> tuple[tuple[float, float], ...]:
     """Collapse maximal runs of speech frames into (start_s, end_s) spans.
 
     A run ends at last.start_s + window_length_s, so consecutive intervals
     from overlapping hops never leave sub-window gaps.
     """
-    out = []
-    run_start = None
-    last = None
-    for f in frames:
-        if f.is_speech:
-            if run_start is None:
-                run_start = f.start_s
-            last = f
-        elif run_start is not None:
-            out.append((run_start, last.start_s + config.window_length_s))
-            run_start = None
-    if run_start is not None:
-        out.append((run_start, last.start_s + config.window_length_s))
-    return tuple(out)
+    edges = np.diff(np.concatenate(([0], frames.is_speech.astype(np.int8), [0])))
+    starts = frames.start_s.tolist()
+    return tuple(
+        (starts[first], starts[stop - 1] + config.window_length_s)
+        for first, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+    )
 
 
 def detect_prefiltered(buffer: AudioBuffer, config: VadConfig) -> VadResult:
@@ -146,23 +136,15 @@ def detect_prefiltered(buffer: AudioBuffer, config: VadConfig) -> VadResult:
     frames = frame_signal(buffer, config)
     energies = _frame_energies_db(frames, config.energy_floor)
     floor_db = estimate_noise_floor_db(energies, config)
-    hop_s = config.hop_s
-    decisions = []
-    for i, energy in enumerate(energies):
-        snr = float(energy) - floor_db
-        decisions.append(
-            FrameDecision(
-                index=i,
-                start_s=i * hop_s,
-                energy_db=float(energy),
-                snr_db=snr,
-                is_speech=snr >= config.snr_threshold_db,
-            )
-        )
-    decisions = tuple(decisions)
+    index = np.arange(len(energies))
+    snr = energies - floor_db
+    records = np.rec.fromarrays(
+        [index, index * config.hop_s, energies, snr, snr >= config.snr_threshold_db],
+        dtype=FRAME_DTYPE,
+    )
     return VadResult(
-        frames=decisions,
-        intervals=merge_intervals(decisions, config),
+        frames=records,
+        intervals=merge_intervals(records, config),
         noise_power_db=floor_db,
         config=config,
     )
@@ -190,21 +172,12 @@ def result_to_dict(result: VadResult) -> dict:
         "config": config_to_dict(result.config),
         "noise_power_db": result.noise_power_db,
         "intervals": [{"start_s": s, "end_s": e} for s, e in result.intervals],
-        "frames": [
-            {
-                "index": f.index,
-                "start_s": f.start_s,
-                "energy_db": f.energy_db,
-                "snr_db": f.snr_db,
-                "is_speech": f.is_speech,
-            }
-            for f in result.frames
-        ],
+        "frames": [dict(zip(FRAME_DTYPE.names, row)) for row in result.frames.tolist()],
     }
 
 
 def frames_to_csv(result: VadResult, fileobj) -> None:
     writer = csv.writer(fileobj)
-    writer.writerow(["index", "start_s", "energy_db", "snr_db", "is_speech"])
-    for f in result.frames:
-        writer.writerow([f.index, f.start_s, f.energy_db, f.snr_db, int(f.is_speech)])
+    writer.writerow(FRAME_DTYPE.names)
+    for *fields, is_speech in result.frames.tolist():
+        writer.writerow([*fields, int(is_speech)])

@@ -11,7 +11,7 @@ import pytest
 
 from vadkit import AudioBuffer, LabeledClip, read_wav, score, write_wav
 from vadkit.cli import main
-from vadkit.vad import FrameDecision, VadConfig, VadResult
+from vadkit.vad import FRAME_DTYPE, VadConfig, VadResult
 
 
 @pytest.fixture()
@@ -79,9 +79,9 @@ def test_detect_covers_labeled_speech(cli_corpus, tmp_path, capsys):
         window_length_s=d["config"]["window_length_s"],
         snr_threshold_db=d["config"]["snr_threshold_db"],
     )
-    frames = tuple(
-        FrameDecision(f["index"], f["start_s"], f["energy_db"], f["snr_db"], f["is_speech"])
-        for f in d["frames"]
+    frames = np.rec.fromrecords(
+        [(f["index"], f["start_s"], f["energy_db"], f["snr_db"], f["is_speech"]) for f in d["frames"]],
+        dtype=FRAME_DTYPE,
     )
     result = VadResult(
         frames=frames,
@@ -162,6 +162,18 @@ def test_sweep_bad_thresholds_exit_2(cli_corpus, tmp_path, capsys):
         "--out", tmp_path / "x.json",
     ])
     assert code == 2
+
+
+def test_eval_and_sweep_reject_jobs_below_one(cli_corpus, tmp_path, capsys):
+    manifest = cli_corpus / "manifest.json"
+    assert _run(["eval", "--manifest", manifest, "--out", tmp_path / "e.json", "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert _run([
+        "sweep", "--manifest", manifest, "--windows", "0.31", "--thresholds", "12",
+        "--out", tmp_path / "s.json", "--jobs", "-3",
+    ]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "s.json").exists()
 
 
 def test_mix_sidecar_and_output(cli_corpus, tmp_path):

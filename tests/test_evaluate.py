@@ -21,14 +21,13 @@ from vadkit import (
 )
 from vadkit.errors import LabelOutOfRange, SweepFailure
 from vadkit.evaluate import combine_reports, sweep_to_csv
-from vadkit.vad import FrameDecision, merge_intervals
+from vadkit.vad import FRAME_DTYPE, merge_intervals
 
 
 def _result_from_flags(flags, window_s=0.31):
     config = VadConfig(window_length_s=window_s)
-    frames = tuple(
-        FrameDecision(index=i, start_s=i * window_s, energy_db=0.0, snr_db=0.0, is_speech=bool(s))
-        for i, s in enumerate(flags)
+    frames = np.rec.fromrecords(
+        [(i, i * window_s, 0.0, 0.0, bool(s)) for i, s in enumerate(flags)], dtype=FRAME_DTYPE
     )
     return VadResult(
         frames=frames,
@@ -205,6 +204,19 @@ def test_sweep_parallel_matches_serial(corpus_dir):
     serial = sweep(clips[:5], windows, thresholds, cascade, jobs=1)
     parallel = sweep(clips[:5], windows, thresholds, cascade, jobs=3)
     assert serial == parallel
+
+
+def test_sweep_matches_per_threshold_evaluation(corpus_dir):
+    """The one-detector-pass-per-window sweep scores each grid point exactly
+    as a separate evaluation under that point's config does."""
+    clips, cascade = _sweep_fixture(corpus_dir)
+    windows = [0.02, 0.155, 0.31]
+    thresholds = [3.0, 12.0, 500.0]
+    result = sweep(clips[:5], windows, thresholds, cascade)
+    for point in result.grid:
+        config = VadConfig(window_length_s=point.window_s, snr_threshold_db=point.threshold_db)
+        aggregate, _ = evaluate_clips(clips[:5], cascade, config)
+        assert point.report == aggregate, (point.window_s, point.threshold_db)
 
 
 def test_sweep_rejects_empty_grid(corpus_dir):

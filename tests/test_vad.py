@@ -20,7 +20,7 @@ from vadkit import (
     merge_intervals,
 )
 from vadkit.errors import EmptySignal, InvalidSpec, NoFrames
-from vadkit.vad import FrameDecision, frames_to_csv, result_to_dict
+from vadkit.vad import FRAME_DTYPE, frames_to_csv, result_to_dict
 
 from naive_reference import naive_quantile
 
@@ -118,13 +118,15 @@ def test_noise_floor_rejects_empty():
         estimate_noise_floor_db(np.array([]), VadConfig())
 
 
-def _decision(i, speech, hop_s=0.31):
-    return FrameDecision(index=i, start_s=i * hop_s, energy_db=0.0, snr_db=0.0, is_speech=speech)
+def _frames(flags, hop_s=0.31):
+    return np.rec.fromrecords(
+        [(i, i * hop_s, 0.0, 0.0, speech) for i, speech in enumerate(flags)], dtype=FRAME_DTYPE
+    )
 
 
 def test_merge_intervals_runs():
     config = VadConfig()
-    frames = tuple(_decision(i, s) for i, s in enumerate([False, True, True, False, True, False]))
+    frames = _frames([False, True, True, False, True, False])
     intervals = merge_intervals(frames, config)
     assert intervals == (
         (pytest.approx(0.31), pytest.approx(0.93)),
@@ -134,7 +136,7 @@ def test_merge_intervals_runs():
 
 def test_merge_intervals_trailing_run():
     config = VadConfig()
-    frames = tuple(_decision(i, s) for i, s in enumerate([False, True, True]))
+    frames = _frames([False, True, True])
     intervals = merge_intervals(frames, config)
     assert len(intervals) == 1
     assert intervals[0][1] == pytest.approx(2 * 0.31 + 0.31)
@@ -142,13 +144,13 @@ def test_merge_intervals_trailing_run():
 
 def test_merge_intervals_empty():
     config = VadConfig()
-    frames = tuple(_decision(i, False) for i in range(5))
+    frames = _frames([False] * 5)
     assert merge_intervals(frames, config) == ()
 
 
 def test_single_frame_interval_length_is_window():
     config = VadConfig()
-    frames = (_decision(0, True),)
+    frames = _frames([True])
     ((start, end),) = merge_intervals(frames, config)
     assert start == 0.0
     assert end == pytest.approx(0.31)
@@ -239,7 +241,10 @@ def test_detect_prefiltered_determinism(burst_setup):
     buf = _burst_clip()
     r1 = detect_prefiltered(buf, config)
     r2 = detect_prefiltered(buf, config)
-    assert r1 == r2
+    assert np.array_equal(r1.frames, r2.frames)
+    assert r1.intervals == r2.intervals
+    assert r1.noise_power_db == r2.noise_power_db
+    assert r1.config == r2.config
 
 
 def test_result_dict_shape(burst_setup):
