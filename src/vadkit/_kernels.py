@@ -1,23 +1,18 @@
-"""Hot inner loops with two interchangeable backends.
+"""Hot inner loops: the biquad-cascade filter and the polyphase resampler.
 
-The biquad-cascade filter and the polyphase resampler are per-sample serial
-loops, so they are compiled with numba when available. Setting the
-environment variable ``VADKIT_BACKEND=numpy`` forces the pure-numpy fallback
-(the same applies automatically when numba cannot be imported). Both
-backends compute the same recurrences; ``benchmarks/bench_kernels.py``
-compares their throughput.
+The cascade is a per-sample serial recurrence run as a plain loop; the
+resampler is a vectorized gather, one matrix product per polyphase branch.
 """
-
-import os
 
 import numpy as np
 
 RESAMPLER_PAD = 64  # zero samples added on each side of the resampler input
 RESAMPLER_TAPS = 64  # filter taps per polyphase branch
+BACKEND = "numpy"  # recorded in perfbench's run metadata
 
 
-def _sos_filter_loop(b, a, x):
-    # Transposed direct form II, one pass per section, zero initial state.
+def sos_filter(b, a, x):
+    """Transposed direct form II, one pass per section, zero initial state."""
     y = x.copy()
     for s in range(b.shape[0]):
         b0 = b[s, 0]
@@ -36,30 +31,12 @@ def _sos_filter_loop(b, a, x):
     return y
 
 
-def _polyphase_loop(xpad, phase_taps, up, down, n_out):
-    # y[n] = sum_k h[p,k] * xpad[PAD + m - k] with p/m derived from n*down.
-    # The +TAPS/2 bias keeps the output aligned with the input timeline.
-    y = np.empty(n_out, dtype=np.float64)
-    taps = phase_taps.shape[1]
-    half = taps // 2
-    for n in range(n_out):
-        u = n * down
-        p = u % up
-        base = RESAMPLER_PAD + u // up + half
-        acc = 0.0
-        for k in range(taps):
-            acc += phase_taps[p, k] * xpad[base - k]
-        y[n] = acc
-    return y
+def polyphase_filter(xpad, phase_taps, up, down, n_out):
+    """y[n] = sum_k h[p,k] * xpad[PAD + m - k] with p/m derived from n*down.
 
-
-def sos_filter_numpy(b, a, x):
-    """Plain-Python evaluation of the cascade recurrence (fallback path)."""
-    return _sos_filter_loop(b, a, x)
-
-
-def polyphase_filter_numpy(xpad, phase_taps, up, down, n_out):
-    """Vectorized gather evaluation of the polyphase recurrence (fallback)."""
+    The +TAPS/2 bias keeps the output aligned with the input timeline.
+    Outputs that share a phase are gathered and reduced together.
+    """
     taps = phase_taps.shape[1]
     half = taps // 2
     u = np.arange(n_out, dtype=np.int64) * down
@@ -72,39 +49,3 @@ def polyphase_filter_numpy(xpad, phase_taps, up, down, n_out):
         idx = bases[sel][:, None] - offsets[None, :]
         y[sel] = xpad[idx] @ phase_taps[p]
     return y
-
-
-def _want_numba():
-    flag = os.environ.get("VADKIT_BACKEND", "numba").strip().lower()
-    if flag in ("numpy", "python", "off"):
-        return False
-    return True
-
-
-BACKEND = "numpy"
-sos_filter = sos_filter_numpy
-polyphase_filter = polyphase_filter_numpy
-sos_filter_jit = None
-polyphase_filter_jit = None
-
-if _want_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        sos_filter_jit = njit(cache=True)(_sos_filter_loop)
-        polyphase_filter_jit = njit(cache=True)(_polyphase_loop)
-        sos_filter = sos_filter_jit
-        polyphase_filter = polyphase_filter_jit
-        BACKEND = "numba"
-
-
-def warm_up():
-    """Trigger JIT compilation so first real calls are not charged for it."""
-    b = np.array([[1.0, 0.0, 0.0]])
-    a = np.array([[0.0, 0.0]])
-    sos_filter(b, a, np.zeros(4))
-    taps = np.zeros((1, RESAMPLER_TAPS))
-    taps[0, RESAMPLER_TAPS // 2] = 1.0
-    polyphase_filter(np.zeros(2 * RESAMPLER_PAD + 4), taps, 1, 1, 4)

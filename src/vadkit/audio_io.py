@@ -239,6 +239,20 @@ def _design_polyphase(up: int, source_rate: int, target_rate_hz: int) -> np.ndar
     return phase_taps
 
 
+def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
+    """Rows of `win` samples starting every `hop` samples.
+
+    There are ceil(len / hop) rows and the tail is zero padded, so every
+    sample lands in at least one row.
+    """
+    n = samples.shape[0]
+    n_frames = -(-n // hop)
+    xpad = np.zeros((n_frames - 1) * hop + win)
+    xpad[:n] = samples
+    idx = np.arange(win)[None, :] + (np.arange(n_frames) * hop)[:, None]
+    return xpad[idx]
+
+
 def truncate_to(buffer: AudioBuffer, duration_s: float) -> AudioBuffer:
     """Cut or zero-pad to exactly floor(duration * rate) samples."""
     if duration_s <= 0:

@@ -16,7 +16,7 @@ from . import __version__, repro
 from .audio_io import AudioBuffer, load_at_rate, read_wav, write_wav
 from .config import CliConfig, load_config
 from .corpus import generate_corpus
-from .errors import LengthMismatch, VadKitError
+from .errors import IoFailure, LengthMismatch, VadKitError
 from .evaluate import (
     evaluate_clips,
     load_manifest,
@@ -93,19 +93,22 @@ def cmd_detect(args) -> int:
 
 
 def _speech_labels_for(path: str, override: str | None, duration_s: float):
-    if override:
-        with open(override) as fh:
-            return [tuple(iv) for iv in json.load(fh)["speech_intervals"]]
-    sidecar = os.path.splitext(path)[0] + ".labels.json"
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            return [tuple(iv) for iv in json.load(fh)["speech_intervals"]]
-    return [(0.0, duration_s)]
+    labels = override or os.path.splitext(path)[0] + ".labels.json"
+    if not override and not os.path.exists(labels):
+        return [(0.0, duration_s)]
+    try:
+        with open(labels) as fh:
+            return [(start, end) for start, end in json.load(fh)["speech_intervals"]]
+    except OSError as exc:
+        raise IoFailure(f"cannot read speech labels {labels}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VadKitError(f"speech labels {labels} are malformed: {exc!r}") from exc
 
 
 def cmd_mix(args) -> int:
     config = _effective_config(args)
     speech, _ = read_wav(args.speech)
+    labels = _speech_labels_for(args.speech, args.speech_labels, speech.duration_s)
     ambient = load_at_rate(args.ambient, speech.sample_rate_hz)
     if len(ambient) < len(speech):
         raise LengthMismatch(
@@ -131,7 +134,7 @@ def cmd_mix(args) -> int:
         "ambient_source": args.ambient,
         "target_snr_db": args.snr,
         "ambient_gain": gain,
-        "speech_intervals": [list(iv) for iv in _speech_labels_for(args.speech, args.speech_labels, speech.duration_s)],
+        "speech_intervals": [list(iv) for iv in labels],
         "effective_config": config.to_dict(),
     }
     _write_json(sidecar, os.path.splitext(args.out)[0] + ".mix.json")

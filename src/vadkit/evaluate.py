@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, load_at_rate
-from .errors import LabelOutOfRange, SweepFailure, VadKitError
+from .errors import IoFailure, LabelOutOfRange, SweepFailure, VadKitError
 from .filters import BiquadCascade, apply_cascade
 from .vad import VadConfig, VadResult, config_to_dict, detect_prefiltered
 
@@ -125,24 +125,35 @@ def combine_reports(reports, config: VadConfig) -> EvalReport:
 
 
 def load_manifest(path) -> list[LabeledClip]:
-    """Read a JSON clip list; relative audio paths resolve against the manifest."""
-    with open(path) as fh:
-        entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise VadKitError(f"manifest {path} must hold a JSON list")
+    """Read a non-empty JSON clip list.
+
+    Relative audio paths resolve against the manifest. An unreadable file,
+    bad JSON, an empty list or a malformed entry raises VadKitError.
+    """
+    try:
+        with open(path) as fh:
+            entries = json.load(fh)
+    except OSError as exc:
+        raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
+    except ValueError as exc:
+        raise VadKitError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(entries, list) or not entries:
+        raise VadKitError(f"manifest {path} must hold a non-empty JSON list")
     base = os.path.dirname(os.path.abspath(path))
     clips = []
-    for entry in entries:
-        audio = entry["audio_path"]
-        if not os.path.isabs(audio):
-            audio = os.path.join(base, audio)
-        clips.append(
-            LabeledClip(
-                audio_path=audio,
-                speech_intervals=tuple(tuple(iv) for iv in entry["speech_intervals"]),
-                source_note=entry.get("source_note", ""),
+    for i, entry in enumerate(entries):
+        try:
+            clips.append(
+                LabeledClip(
+                    audio_path=os.path.join(base, entry["audio_path"]),
+                    speech_intervals=tuple(tuple(iv) for iv in entry["speech_intervals"]),
+                    source_note=entry.get("source_note", ""),
+                )
             )
-        )
+        except KeyError as exc:
+            raise VadKitError(f"manifest {path}: entry {i} has no {exc} field") from exc
+        except (TypeError, ValueError) as exc:
+            raise VadKitError(f"manifest {path}: entry {i} is malformed: {exc}") from exc
     return clips
 
 

@@ -20,7 +20,7 @@ from .config import CliConfig
 from .corpus import generate_corpus
 from .filters import apply_cascade, design_butterworth_bandpass
 from .mixing import MixSpec, mix
-from .spectrogram import spectrogram, to_json_dict, write_pgm
+from .spectrogram import spectrogram, write_json, write_pgm
 from .vad import detect_prefiltered, frames_to_csv, result_to_dict
 
 
@@ -95,9 +95,7 @@ def run(
         matrix = spectrogram(
             buffer, fft_size=config.fft_size, hop_samples=config.spectrogram_hop
         )
-        with open(_out(f"fig4_{name}.json"), "w") as fh:
-            json.dump(to_json_dict(matrix), fh)
-            fh.write("\n")
+        write_json(matrix, _out(f"fig4_{name}.json"))
         write_pgm(matrix, _out(f"fig4_{name}.pgm"))
 
     summary = {

@@ -1,8 +1,9 @@
 """Hann-windowed magnitude spectrogram with dB output.
 
-Framing follows the detector convention: frame count is ceil(len / hop)
-and the tail is zero padded, so a spectrogram and a VAD pass over the same
-clip line up frame for frame when their hops match.
+Frames come from the detector's framing helper, `audio_io.frame_samples`:
+frame count is ceil(len / hop) and the tail is zero padded, so a
+spectrogram and a VAD pass over the same clip line up frame for frame when
+their hops match.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, frame_samples
 from .errors import EmptySignal, InvalidFft
 
 DB_FLOOR = -120.0
@@ -54,15 +55,9 @@ def spectrogram(buffer: AudioBuffer, fft_size: int = 1024, hop_samples: int = 51
         raise InvalidFft(f"fft size must be a power of two, got {fft_size}")
     if hop_samples <= 0:
         raise InvalidFft(f"hop must be positive, got {hop_samples}")
-    n = len(buffer)
-    if n == 0:
+    if len(buffer) == 0:
         raise EmptySignal("cannot take a spectrogram of an empty signal")
-    n_frames = -(-n // hop_samples)
-    needed = (n_frames - 1) * hop_samples + fft_size
-    xpad = np.zeros(needed)
-    xpad[:n] = buffer.samples
-    idx = np.arange(fft_size)[None, :] + (np.arange(n_frames) * hop_samples)[:, None]
-    frames = xpad[idx] * hann_window(fft_size)
+    frames = frame_samples(buffer.samples, fft_size, hop_samples) * hann_window(fft_size)
     mags = np.abs(np.fft.rfft(frames, axis=1))
     db = 20.0 * np.log10(np.maximum(mags, _MAG_FLOOR))
     return SpectrogramMatrix(

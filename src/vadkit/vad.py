@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, frame_samples
 from .errors import EmptySignal, InvalidSpec, NoFrames
 from .filters import BiquadCascade, apply_cascade
 
@@ -28,6 +28,10 @@ class VadConfig:
     energy_floor: float = 1e-10
 
     def __post_init__(self):
+        for name in ("window_length_s", "hop_length_s", "snr_threshold_db"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidSpec(f"{name} must be finite, got {value}")
         if self.window_length_s <= 0:
             raise InvalidSpec(f"window length must be positive, got {self.window_length_s}")
         hop = self.window_length_s if self.hop_length_s is None else self.hop_length_s
@@ -73,17 +77,10 @@ def frame_signal(buffer: AudioBuffer, config: VadConfig) -> np.ndarray:
     The final frame is zero padded to full window length, so every sample
     lands in at least one frame and frame count is ceil(len / hop).
     """
-    n = len(buffer)
-    if n == 0:
+    if len(buffer) == 0:
         raise EmptySignal("cannot frame an empty signal")
-    win = config.window_samples(buffer.sample_rate_hz)
-    hop = config.hop_samples(buffer.sample_rate_hz)
-    n_frames = -(-n // hop)
-    needed = (n_frames - 1) * hop + win
-    xpad = np.zeros(needed)
-    xpad[:n] = buffer.samples
-    idx = np.arange(win)[None, :] + (np.arange(n_frames) * hop)[:, None]
-    return xpad[idx]
+    rate = buffer.sample_rate_hz
+    return frame_samples(buffer.samples, config.window_samples(rate), config.hop_samples(rate))
 
 
 def frame_energy_db(frame: np.ndarray, energy_floor: float = 1e-10) -> float:

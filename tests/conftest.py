@@ -5,14 +5,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from vadkit import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation happens here, not inside any timed assertion.
-    _kernels.warm_up()
-
 
 @pytest.fixture(scope="session")
 def corpus_dir(tmp_path_factory):

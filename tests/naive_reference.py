@@ -99,3 +99,24 @@ def naive_counts(decisions, window_s, truth_intervals):
         else:
             tn += 1
     return tp, fp, tn, fn
+
+
+def naive_polyphase(xpad, phase_taps, up, down, n_out, pad):
+    """Polyphase resampler as one loop per output sample.
+
+    y[n] = sum_k h[p,k] * xpad[pad + m - k] with p = n*down mod up and
+    m = n*down // up + taps/2; ``pad`` is the zero padding on each side of
+    ``xpad``.
+    """
+    y = np.empty(n_out, dtype=np.float64)
+    taps = phase_taps.shape[1]
+    half = taps // 2
+    for n in range(n_out):
+        u = n * down
+        p = u % up
+        base = pad + u // up + half
+        acc = 0.0
+        for k in range(taps):
+            acc += phase_taps[p, k] * xpad[base - k]
+        y[n] = acc
+    return y

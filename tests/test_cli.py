@@ -164,6 +164,46 @@ def test_sweep_bad_thresholds_exit_2(cli_corpus, tmp_path, capsys):
     assert code == 2
 
 
+_SWEEP = ["sweep", "--windows", "0.31", "--thresholds", "12", "--manifest"]
+_MIX = ["mix", "z.wav", "z.wav", "--gain", "0.5", "--out", "m.wav", "--speech-labels", "bad.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad_file",
+    [
+        (["eval", "--manifest", "absent.json"], None),
+        (["eval", "--manifest", "bad.json"], "{not json"),
+        (["eval", "--manifest", "bad.json"], '[{"speech_intervals": []}]'),
+        (["eval", "--manifest", "bad.json"], '[{"audio_path": "z.wav", "speech_intervals": [[0.5]]}]'),
+        (["eval", "--manifest", "bad.json"], "[]"),
+        (_SWEEP + ["bad.json"], '[{"speech_intervals": []}]'),
+        (_MIX, "{not json"),
+        (_MIX, '{"intervals": []}'),
+        (["detect", "z.wav", "--window", "inf"], None),
+        (["detect", "z.wav", "--threshold", "nan"], None),
+    ],
+    ids=[
+        "eval-missing-manifest",
+        "eval-invalid-json",
+        "eval-no-audio-path",
+        "eval-one-element-interval",
+        "eval-empty-manifest",
+        "sweep-no-audio-path",
+        "mix-labels-invalid-json",
+        "mix-labels-no-intervals",
+        "detect-window-inf",
+        "detect-threshold-nan",
+    ],
+)
+def test_bad_input_exits_2(argv, bad_file, capsys, chdir_tmp):
+    write_wav(AudioBuffer(np.zeros(16000), 16000), chdir_tmp / "z.wav")
+    if bad_file is not None:
+        (chdir_tmp / "bad.json").write_text(bad_file)
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(os.listdir(chdir_tmp)) == sorted(["z.wav"] + ["bad.json"] * (bad_file is not None))
+
+
 def test_eval_and_sweep_reject_jobs_below_one(cli_corpus, tmp_path, capsys):
     manifest = cli_corpus / "manifest.json"
     assert _run(["eval", "--manifest", manifest, "--out", tmp_path / "e.json", "--jobs", "0"]) == 2

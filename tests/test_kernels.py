@@ -1,83 +1,21 @@
-"""Backend selection and numba/numpy kernel equivalence."""
-
-import os
-import subprocess
-import sys
+"""The vectorized polyphase kernel against its loop oracle."""
 
 import numpy as np
-import pytest
 
+from naive_reference import naive_polyphase
 from vadkit import _kernels
 
 
-def test_backend_reports_a_known_value():
-    assert _kernels.BACKEND in ("numba", "numpy")
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, VADKIT_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from vadkit import _kernels; print(_kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_default_backend_is_numba_when_available():
-    pytest.importorskip("numba")
-    env = {k: v for k, v in os.environ.items() if k != "VADKIT_BACKEND"}
-    out = subprocess.run(
-        [sys.executable, "-c", "from vadkit import _kernels; print(_kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numba"
-
-
-def _random_cascade(rng, n_sections):
-    b = rng.uniform(-0.5, 0.5, (n_sections, 3))
-    # stable poles: magnitude < 0.95, arbitrary angle
-    a = np.empty((n_sections, 2))
-    for i in range(n_sections):
-        r = rng.uniform(0.1, 0.95)
-        theta = rng.uniform(0.0, np.pi)
-        a[i] = (-2.0 * r * np.cos(theta), r * r)
-    return b, a
-
-
-def test_sos_backends_agree():
-    if _kernels.sos_filter_jit is None:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(31)
-    for trial in range(5):
-        b, a = _random_cascade(rng, int(rng.integers(1, 4)))
-        x = rng.standard_normal(int(rng.integers(1, 5000)))
-        jit = _kernels.sos_filter_jit(b, a, x)
-        plain = _kernels.sos_filter_numpy(b, a, x)
-        assert np.array_equal(jit, plain)
-
-
-def test_polyphase_backends_agree():
-    if _kernels.polyphase_filter_jit is None:
-        pytest.skip("numba unavailable")
+def test_polyphase_matches_loop_oracle():
     rng = np.random.default_rng(32)
+    pad = _kernels.RESAMPLER_PAD
     for up, down in ((2, 3), (3, 2), (160, 441), (441, 160), (1, 4)):
         n = int(rng.integers(500, 3000))
         x = rng.standard_normal(n)
-        xpad = np.concatenate([np.zeros(_kernels.RESAMPLER_PAD), x, np.zeros(_kernels.RESAMPLER_PAD)])
+        xpad = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
         taps = rng.standard_normal((up, _kernels.RESAMPLER_TAPS))
         n_out = -(-n * up) // down
-        jit = _kernels.polyphase_filter_jit(xpad, taps, up, down, n_out)
-        plain = _kernels.polyphase_filter_numpy(xpad, taps, up, down, n_out)
-        scale = max(1.0, float(np.max(np.abs(plain))))
-        assert np.max(np.abs(jit - plain)) / scale < 1e-12
-
-
-def test_warm_up_is_idempotent():
-    _kernels.warm_up()
-    _kernels.warm_up()
+        loop = naive_polyphase(xpad, taps, up, down, n_out, pad)
+        fast = _kernels.polyphase_filter(xpad, taps, up, down, n_out)
+        scale = max(1.0, float(np.max(np.abs(fast))))
+        assert np.max(np.abs(loop - fast)) / scale < 1e-12

@@ -47,6 +47,13 @@ def test_config_validation():
         VadConfig(noise_percentile=1.0)
     with pytest.raises(InvalidSpec):
         VadConfig(energy_floor=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidSpec):
+            VadConfig(window_length_s=bad)
+        with pytest.raises(InvalidSpec):
+            VadConfig(hop_length_s=bad)
+        with pytest.raises(InvalidSpec):
+            VadConfig(snr_threshold_db=bad)
 
 
 def test_frame_count_is_ceil():
