@@ -1,33 +1,75 @@
 """Hot inner loops: the biquad-cascade filter and the polyphase resampler.
 
-The cascade is a per-sample serial recurrence run as a plain loop; the
-resampler is a vectorized gather, one matrix product per polyphase branch.
+Both run as dense matrix products over blocks of samples, so the time goes
+into BLAS instead of the interpreter.
+
+The cascade uses the block form of the IIR recurrence (Burrus, "Block
+implementation of digital filters", IEEE Trans. Circuit Theory, 1971). Each
+section is the transposed-direct-form-II state space
+
+    s[n+1] = A s[n] + B x[n],   y[n] = s1[n] + b0 x[n],
+    A = [[-a1, 1], [-a2, 0]],   B = [b1 - a1 b0, b2 - a2 b0].
+
+The signal is cut into rows of BLOCK samples. A row's output is its
+zero-state response (one product with the BLOCK x BLOCK lower-triangular
+Toeplitz matrix of the impulse response) plus the response to the state the
+row starts in. A short loop over rows carries the 2-vector state from row to
+row: s <- A^BLOCK s + G x_row.
+
+The resampler is one banded matrix product (Crochiere & Rabiner, Multirate
+Digital Signal Processing, 1983). Outputs j*up ... j*up+up-1 form row j.
+They all read one window of input that starts `down` samples after the
+window of row j-1. Row j of the output is that window times a matrix that
+holds each phase's taps at that phase's offset in the window.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 RESAMPLER_PAD = 64  # zero samples added on each side of the resampler input
 RESAMPLER_TAPS = 64  # filter taps per polyphase branch
 BACKEND = "numpy"  # recorded in perfbench's run metadata
 
+BLOCK = 128  # samples per row of the block filter
+_MAX_WINDOW = 1024  # widest input window that one resampler product reads
+_CHUNK_ROWS = 1024  # windows per resampler product, bounding the copy it makes
+
 
 def sos_filter(b, a, x):
-    """Transposed direct form II, one pass per section, zero initial state."""
-    y = x.copy()
+    """Biquad cascade over x with zero initial state, in block form."""
+    n = x.shape[0]
+    rows = -(-n // BLOCK)
+    y = np.zeros((rows, BLOCK))
+    y.reshape(-1)[:n] = x
     for s in range(b.shape[0]):
-        b0 = b[s, 0]
-        b1 = b[s, 1]
-        b2 = b[s, 2]
-        a1 = a[s, 0]
-        a2 = a[s, 1]
-        s1 = 0.0
-        s2 = 0.0
-        for i in range(y.shape[0]):
-            xn = y[i]
-            yn = b0 * xn + s1
-            s1 = b1 * xn - a1 * yn + s2
-            s2 = b2 * xn - a2 * yn
-            y[i] = yn
+        y = _section_blocks(b[s], a[s], y)
+    return y.reshape(-1)[:n]
+
+
+def _section_blocks(b, a, x):
+    """One biquad section over the rows of x, state carried across rows."""
+    b0, b1, b2 = (float(v) for v in b)
+    a1, a2 = (float(v) for v in a)
+    step = np.array([[-a1, 1.0], [-a2, 0.0]])
+    # powers[i] = A^i for i = 0 .. BLOCK.
+    powers = np.empty((BLOCK + 1, 2, 2))
+    powers[0] = np.eye(2)
+    for i in range(BLOCK):
+        powers[i + 1] = step @ powers[i]
+    gain = powers[:BLOCK] @ np.array([b1 - a1 * b0, b2 - a2 * b0])  # A^i B
+    impulse = np.concatenate(([b0], gain[:-1, 0]))  # h[0] = b0, h[i] = (A^(i-1) B)[0]
+    lag = np.arange(BLOCK)[:, None] - np.arange(BLOCK)[None, :]
+    toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
+
+    y = x @ toeplitz.T  # zero-state response of every row
+    drive = (x @ gain[::-1]).tolist()  # state each row adds: sum_j A^(BLOCK-1-j) B x[j]
+    (p, q), (r, t) = powers[BLOCK].tolist()
+    start = np.empty((x.shape[0], 2))  # state at the start of each row
+    s1 = s2 = 0.0
+    for k, (u, v) in enumerate(drive):
+        start[k] = s1, s2
+        s1, s2 = p * s1 + q * s2 + u, r * s1 + t * s2 + v
+    y += start @ powers[:BLOCK, 0, :].T  # row i of the observer is C A^i = (A^i)[0]
     return y
 
 
@@ -35,17 +77,30 @@ def polyphase_filter(xpad, phase_taps, up, down, n_out):
     """y[n] = sum_k h[p,k] * xpad[PAD + m - k] with p/m derived from n*down.
 
     The +TAPS/2 bias keeps the output aligned with the input timeline.
-    Outputs that share a phase are gathered and reduced together.
+    Output n = j*up + c reads the taps samples of xpad that start at
+    first + j*down + c*down // up. When the window of a whole row would be
+    wider than _MAX_WINDOW (rate pairs such as 44101 -> 16000 Hz), the row's
+    columns are split into groups, each with its own narrower window and
+    matrix.
     """
     taps = phase_taps.shape[1]
-    half = taps // 2
-    u = np.arange(n_out, dtype=np.int64) * down
-    phases = u % up
-    bases = RESAMPLER_PAD + u // up + half
-    offsets = np.arange(taps, dtype=np.int64)
-    y = np.empty(n_out, dtype=np.float64)
-    for p in np.unique(phases):
-        sel = np.nonzero(phases == p)[0]
-        idx = bases[sel][:, None] - offsets[None, :]
-        y[sel] = xpad[idx] @ phase_taps[p]
-    return y
+    first = RESAMPLER_PAD + taps // 2 - (taps - 1)
+    rows = -(-n_out // up)
+    y = np.empty((rows, up))
+    group = max(1, min(up, (_MAX_WINDOW - taps) * up // down))
+    for c0 in range(0, up, group):
+        cols = np.arange(c0, min(up, c0 + group), dtype=np.int64)
+        lead = cols * down // up  # where each column's taps sit in the row's window
+        width = int(lead[-1] - lead[0]) + taps
+        band = np.zeros((width, cols.size))
+        k = np.arange(taps)[:, None]
+        band[lead - lead[0] + (taps - 1) - k, np.arange(cols.size)] = phase_taps[cols * down % up].T
+        offset = first + int(lead[0])
+        for j0 in range(0, rows, _CHUNK_ROWS):
+            j1 = min(rows, j0 + _CHUNK_ROWS)
+            span = (j1 - j0 - 1) * down + width
+            seg = xpad[offset + j0 * down :][:span]
+            if seg.shape[0] < span:  # only outputs past n_out read beyond the input
+                seg = np.concatenate([seg, np.zeros(span - seg.shape[0])])
+            y[j0:j1, c0 : c0 + cols.size] = sliding_window_view(seg, width)[::down] @ band
+    return y.reshape(-1)[:n_out]

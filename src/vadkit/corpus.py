@@ -15,6 +15,7 @@ Every clip gets a `<stem>.labels.json` sidecar and the set is indexed by
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -114,6 +115,8 @@ def generate_corpus(
     clip_duration_s: float = 4.0,
 ) -> list[LabeledClip]:
     """Write the corpus under out_dir and return its clips in manifest order."""
+    if not math.isfinite(clip_duration_s):
+        raise InvalidSpec(f"clip_duration_s must be finite, got {clip_duration_s}")
     if clip_duration_s < max(g[-1][1] for g in (_GATES_A, _GATES_B)):
         raise InvalidSpec(f"clip duration {clip_duration_s} s too short for the gate schedule")
     os.makedirs(out_dir, exist_ok=True)

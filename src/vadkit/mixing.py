@@ -22,6 +22,10 @@ class MixSpec:
     def __post_init__(self):
         if (self.target_snr_db is None) == (self.ambient_gain is None):
             raise InvalidSpec("set exactly one of target_snr_db and ambient_gain")
+        for name in ("target_snr_db", "ambient_gain"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidSpec(f"{name} must be finite, got {value}")
         if self.ambient_gain is not None and self.ambient_gain < 0:
             raise InvalidSpec(f"ambient gain must be >= 0, got {self.ambient_gain}")
         if self.normalize_peak is not None and not 0 < self.normalize_peak <= 1:

@@ -43,6 +43,9 @@ def run(
     """Write every artifact under out_dir; returns their relative names."""
     if config is None:
         config = CliConfig()
+    # Validate every setting before the first file is written.
+    mix_spec = MixSpec(target_snr_db=snr_db, normalize_peak=0.9)
+    vad_config = dataclasses.replace(config.vad_config(), snr_threshold_db=threshold_db)
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
 
@@ -53,10 +56,9 @@ def run(
     speech, _ = read_wav(speech_clip.audio_path)
     ambient, _ = read_wav(by_name["ambient_white.wav"].audio_path)
 
-    mixed = mix(speech, ambient, MixSpec(target_snr_db=snr_db, normalize_peak=0.9))
+    mixed = mix(speech, ambient, mix_spec)
     cascade = design_butterworth_bandpass(config.filter_spec())
     filtered = apply_cascade(cascade, mixed)
-    vad_config = dataclasses.replace(config.vad_config(), snr_threshold_db=threshold_db)
     result = detect_prefiltered(filtered, vad_config)
 
     def _out(name: str) -> str:

@@ -50,10 +50,17 @@ class VadConfig:
         return self.window_length_s if self.hop_length_s is None else self.hop_length_s
 
     def window_samples(self, sample_rate_hz: int) -> int:
-        return max(1, int(round(self.window_length_s * sample_rate_hz)))
+        return _sample_count("window_length_s", self.window_length_s, sample_rate_hz)
 
     def hop_samples(self, sample_rate_hz: int) -> int:
-        return max(1, int(round(self.hop_s * sample_rate_hz)))
+        return _sample_count("hop_length_s", self.hop_s, sample_rate_hz)
+
+
+def _sample_count(name: str, seconds: float, sample_rate_hz: int) -> int:
+    count = seconds * sample_rate_hz
+    if not math.isfinite(count):  # a finite length can still overflow here
+        raise InvalidSpec(f"{name} of {seconds} s has no finite sample count at {sample_rate_hz} Hz")
+    return max(1, int(round(count)))
 
 
 # One record per frame; `VadResult.frames` is a recarray of this dtype, so

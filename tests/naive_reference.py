@@ -120,3 +120,21 @@ def naive_polyphase(xpad, phase_taps, up, down, n_out, pad):
             acc += phase_taps[p, k] * xpad[base - k]
         y[n] = acc
     return y
+
+
+def naive_sos(b, a, x):
+    """Biquad cascade as one loop per sample: transposed direct form II,
+    one pass per section, zero initial state."""
+    y = np.array(x, dtype=np.float64)
+    for s in range(b.shape[0]):
+        b0, b1, b2 = b[s]
+        a1, a2 = a[s]
+        s1 = 0.0
+        s2 = 0.0
+        for i in range(y.shape[0]):
+            xn = y[i]
+            yn = b0 * xn + s1
+            s1 = b1 * xn - a1 * yn + s2
+            s2 = b2 * xn - a2 * yn
+            y[i] = yn
+    return y

@@ -169,18 +169,24 @@ _MIX = ["mix", "z.wav", "z.wav", "--gain", "0.5", "--out", "m.wav", "--speech-la
 
 
 @pytest.mark.parametrize(
-    "argv, bad_file",
+    "argv, bad_file, field",
     [
-        (["eval", "--manifest", "absent.json"], None),
-        (["eval", "--manifest", "bad.json"], "{not json"),
-        (["eval", "--manifest", "bad.json"], '[{"speech_intervals": []}]'),
-        (["eval", "--manifest", "bad.json"], '[{"audio_path": "z.wav", "speech_intervals": [[0.5]]}]'),
-        (["eval", "--manifest", "bad.json"], "[]"),
-        (_SWEEP + ["bad.json"], '[{"speech_intervals": []}]'),
-        (_MIX, "{not json"),
-        (_MIX, '{"intervals": []}'),
-        (["detect", "z.wav", "--window", "inf"], None),
-        (["detect", "z.wav", "--threshold", "nan"], None),
+        (["eval", "--manifest", "absent.json"], None, None),
+        (["eval", "--manifest", "bad.json"], "{not json", None),
+        (["eval", "--manifest", "bad.json"], '[{"speech_intervals": []}]', None),
+        (["eval", "--manifest", "bad.json"], '[{"audio_path": "z.wav", "speech_intervals": [[0.5]]}]', None),
+        (["eval", "--manifest", "bad.json"], "[]", None),
+        (_SWEEP + ["bad.json"], '[{"speech_intervals": []}]', None),
+        (_MIX, "{not json", None),
+        (_MIX, '{"intervals": []}', None),
+        (["detect", "z.wav", "--window", "inf"], None, "window_length_s"),
+        (["detect", "z.wav", "--threshold", "nan"], None, "snr_threshold_db"),
+        (["detect", "z.wav", "--window", "1e305"], None, "window_length_s"),
+        (["mix", "z.wav", "z.wav", "--snr", "nan", "--out", "m.wav"], None, "target_snr_db"),
+        (["mix", "z.wav", "z.wav", "--gain", "inf", "--out", "m.wav"], None, "ambient_gain"),
+        (["repro-figures", "--out-dir", "figs", "--snr", "nan"], None, "target_snr_db"),
+        (["gen-corpus", "--out-dir", "corpus", "--duration", "nan"], None, "clip_duration_s"),
+        (["gen-corpus", "--out-dir", "corpus", "--duration", "inf"], None, "clip_duration_s"),
     ],
     ids=[
         "eval-missing-manifest",
@@ -193,14 +199,22 @@ _MIX = ["mix", "z.wav", "z.wav", "--gain", "0.5", "--out", "m.wav", "--speech-la
         "mix-labels-no-intervals",
         "detect-window-inf",
         "detect-threshold-nan",
+        "detect-window-overflows",
+        "mix-snr-nan",
+        "mix-gain-inf",
+        "repro-snr-nan",
+        "gen-corpus-duration-nan",
+        "gen-corpus-duration-inf",
     ],
 )
-def test_bad_input_exits_2(argv, bad_file, capsys, chdir_tmp):
+def test_bad_input_exits_2(argv, bad_file, field, capsys, chdir_tmp):
     write_wav(AudioBuffer(np.zeros(16000), 16000), chdir_tmp / "z.wav")
     if bad_file is not None:
         (chdir_tmp / "bad.json").write_text(bad_file)
     assert _run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field is None or field in err  # a non-finite setting is named in the message
     assert sorted(os.listdir(chdir_tmp)) == sorted(["z.wav"] + ["bad.json"] * (bad_file is not None))
 
 

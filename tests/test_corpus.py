@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 import os
 
 import numpy as np
@@ -121,3 +122,10 @@ def test_surrogate_energy_is_gated(corpus_dir):
 def test_too_short_duration_rejected(tmp_path):
     with pytest.raises(InvalidSpec):
         generate_corpus(0, str(tmp_path / "x"), clip_duration_s=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_duration_rejected(tmp_path, bad):
+    with pytest.raises(InvalidSpec, match="clip_duration_s"):
+        generate_corpus(0, str(tmp_path / "x"), clip_duration_s=bad)
+    assert not (tmp_path / "x").exists()

@@ -1,21 +1,84 @@
-"""The vectorized polyphase kernel against its loop oracle."""
+"""The block kernels against their loop oracles, and their determinism."""
 
 import numpy as np
+import pytest
 
-from naive_reference import naive_polyphase
-from vadkit import _kernels
+from naive_reference import naive_polyphase, naive_sos
+from vadkit import FilterSpec, _kernels, design_butterworth_bandpass
+
+# Both kernels sum in a different order than their loops, so they agree to
+# rounding, not bit for bit. The filter's error is relative to the largest
+# output sample.
+RELATIVE_BOUND = 1e-12
+
+SOS_DESIGNS = (
+    (2, 300.0, 1500.0, 16000),
+    (4, 300.0, 1500.0, 16000),
+    (8, 300.0, 1500.0, 16000),
+    (12, 300.0, 3400.0, 16000),
+    (8, 300.0, 320.0, 48000),  # narrow band, poles near the unit circle
+    (12, 1000.0, 1001.0, 16000),  # pole radius 0.99995
+)
+SOS_LENGTHS = (0, 1, _kernels.BLOCK - 1, _kernels.BLOCK, _kernels.BLOCK + 1, 40000)
+
+
+def _coefficients(order, low, high, rate):
+    return design_butterworth_bandpass(FilterSpec(order, low, high, rate)).coefficient_arrays()
+
+
+def _padded(x):
+    pad = np.zeros(_kernels.RESAMPLER_PAD)
+    return np.concatenate([pad, x, pad])
+
+
+@pytest.mark.parametrize("design", SOS_DESIGNS, ids=lambda d: "order{}-{:g}-{:g}Hz-at-{}".format(*d))
+def test_sos_matches_loop_oracle(design):
+    b, a = _coefficients(*design)
+    rng = np.random.default_rng(design[0])
+    for n in SOS_LENGTHS:
+        x = rng.standard_normal(n)
+        loop = naive_sos(b, a, x)
+        fast = _kernels.sos_filter(b, a, x)
+        assert fast.shape == (n,)
+        if n:
+            err = np.max(np.abs(loop - fast)) / np.max(np.abs(loop))
+            assert err < RELATIVE_BOUND, (n, err)
 
 
 def test_polyphase_matches_loop_oracle():
     rng = np.random.default_rng(32)
-    pad = _kernels.RESAMPLER_PAD
-    for up, down in ((2, 3), (3, 2), (160, 441), (441, 160), (1, 4)):
-        n = int(rng.integers(500, 3000))
-        x = rng.standard_normal(n)
-        xpad = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
-        taps = rng.standard_normal((up, _kernels.RESAMPLER_TAPS))
-        n_out = -(-n * up) // down
-        loop = naive_polyphase(xpad, taps, up, down, n_out, pad)
-        fast = _kernels.polyphase_filter(xpad, taps, up, down, n_out)
-        scale = max(1.0, float(np.max(np.abs(fast))))
-        assert np.max(np.abs(loop - fast)) / scale < 1e-12
+    # (2, 2001): a row's window is wider than _MAX_WINDOW, so it is split.
+    pairs = ((2, 3), (3, 2), (160, 441), (441, 160), (1, 4), (1, 6), (2, 1), (2, 2001))
+    for up, down in pairs:
+        # Inputs shorter than the tap count read zero padding on both sides.
+        for n in (1, 2, 63, int(rng.integers(500, 3000))):
+            xpad = _padded(rng.standard_normal(n))
+            taps = rng.standard_normal((up, _kernels.RESAMPLER_TAPS))
+            n_out = -(-n * up // down)
+            loop = naive_polyphase(xpad, taps, up, down, n_out, _kernels.RESAMPLER_PAD)
+            fast = _kernels.polyphase_filter(xpad, taps, up, down, n_out)
+            assert fast.shape == (n_out,)
+            scale = max(1.0, float(np.max(np.abs(fast))))
+            assert np.max(np.abs(loop - fast)) / scale < RELATIVE_BOUND, (up, down, n)
+
+
+def test_kernels_are_deterministic():
+    """Bit-identical output on repeated calls and on an offset slice of a
+    larger array, so same-version artifacts stay byte-identical."""
+    rng = np.random.default_rng(7)
+    big = rng.standard_normal(50000)
+    x = big[3:45003]  # starts 24 bytes into the buffer
+    b, a = _coefficients(4, 300.0, 1500.0, 16000)
+    first = _kernels.sos_filter(b, a, x.copy()).tobytes()
+    for _ in range(3):
+        assert _kernels.sos_filter(b, a, x).tobytes() == first
+        assert _kernels.sos_filter(b, a, x.copy()).tobytes() == first
+
+    taps = rng.standard_normal((160, _kernels.RESAMPLER_TAPS))
+    n_out = -(-x.size * 160 // 441)
+    xpad = _padded(x)
+    shifted = np.concatenate([np.zeros(5), xpad])[5:]  # same values, other alignment
+    first = _kernels.polyphase_filter(xpad, taps, 160, 441, n_out).tobytes()
+    for _ in range(3):
+        assert _kernels.polyphase_filter(xpad, taps, 160, 441, n_out).tobytes() == first
+        assert _kernels.polyphase_filter(shifted, taps, 160, 441, n_out).tobytes() == first

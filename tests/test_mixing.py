@@ -1,5 +1,7 @@
 """SNR-targeted and fixed-gain mixing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,14 @@ def test_spec_mode_exclusivity():
         MixSpec(ambient_gain=-0.5)
     with pytest.raises(InvalidSpec):
         MixSpec(target_snr_db=10.0, normalize_peak=1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_values(bad):
+    with pytest.raises(InvalidSpec, match="target_snr_db"):
+        MixSpec(target_snr_db=bad)
+    with pytest.raises(InvalidSpec, match="ambient_gain"):
+        MixSpec(ambient_gain=bad)
 
 
 def test_silent_components_rejected():

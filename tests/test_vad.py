@@ -54,6 +54,11 @@ def test_config_validation():
             VadConfig(hop_length_s=bad)
         with pytest.raises(InvalidSpec):
             VadConfig(snr_threshold_db=bad)
+    # Finite, but the sample count overflows a float.
+    with pytest.raises(InvalidSpec, match="window_length_s"):
+        VadConfig(window_length_s=1e305).window_samples(16000)
+    with pytest.raises(InvalidSpec, match="hop_length_s"):
+        VadConfig(window_length_s=1e305, hop_length_s=1e305).hop_samples(16000)
 
 
 def test_frame_count_is_ceil():
