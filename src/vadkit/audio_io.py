@@ -150,7 +150,8 @@ def write_wav(buffer: AudioBuffer, path: str | Path, format: str = "pcm16") -> N
     """Encode a buffer as mono PCM16 or FLOAT32 WAV.
 
     Raises:
-        OutOfRange: non-finite samples, or |sample| > 1 for pcm16.
+        OutOfRange: non-finite samples, |sample| > 1 for pcm16, or a sample
+            that float32 cannot hold.
         IoFailure: file cannot be written.
     """
     x = buffer.samples
@@ -163,7 +164,11 @@ def write_wav(buffer: AudioBuffer, path: str | Path, format: str = "pcm16") -> N
         payload = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
         header = _wav_header(_FORMAT_PCM, 16, buffer.sample_rate_hz, len(x), len(payload))
     elif format == "float32":
-        payload = x.astype("<f4").tobytes()
+        with np.errstate(over="ignore"):
+            x32 = x.astype("<f4")
+        if not np.all(np.isfinite(x32)):
+            raise OutOfRange("float32 cannot hold samples this large")
+        payload = x32.tobytes()
         header = _wav_header(_FORMAT_FLOAT, 32, buffer.sample_rate_hz, len(x), len(payload))
     else:
         raise ValueError(f"unknown WAV format {format!r} (use 'pcm16' or 'float32')")
@@ -212,7 +217,7 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
 
     pad = _kernels.RESAMPLER_PAD
     xpad = np.concatenate([np.zeros(pad), buffer.samples, np.zeros(pad)])
-    n_out = -(-len(buffer) * up) // down
+    n_out = -(-len(buffer) * up // down)
     y = _kernels.polyphase_filter(xpad, phase_taps, up, down, n_out)
     return AudioBuffer(y, target_rate_hz)
 

@@ -8,13 +8,14 @@ repro-figures. Exit codes: 0 success, 2 bad input, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import __version__, repro
 from .audio_io import AudioBuffer, load_at_rate, read_wav, write_wav
-from .config import CliConfig, load_config
+from .config import CliConfig, load_config, value_type
 from .corpus import generate_corpus
 from .errors import IoFailure, LengthMismatch, VadKitError
 from .evaluate import (
@@ -35,32 +36,18 @@ import numpy as np
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", metavar="PATH", help="flat JSON config file")
-    group.add_argument("--sample-rate", type=int, metavar="N", help="pipeline sample rate in Hz")
-    group.add_argument("--window", type=float, metavar="S", help="analysis window length in seconds")
-    group.add_argument("--threshold", type=float, metavar="DB", help="SNR decision threshold in dB")
-    group.add_argument("--hop", type=float, metavar="S", help="hop between frames in seconds")
-    group.add_argument("--noise-percentile", type=float, metavar="Q", help="noise-floor quantile in (0,1)")
-    group.add_argument("--low", type=float, metavar="HZ", help="bandpass low cutoff in Hz")
-    group.add_argument("--high", type=float, metavar="HZ", help="bandpass high cutoff in Hz")
-    group.add_argument("--order", type=int, metavar="N", help="overall bandpass order (even)")
-    group.add_argument("--fft-size", type=int, metavar="N", help="spectrogram FFT size (power of two)")
-    group.add_argument("--spectrogram-hop", type=int, metavar="N", help="spectrogram hop in samples")
+    for field in dataclasses.fields(CliConfig):
+        meta = field.metadata
+        if meta["flag"]:
+            group.add_argument(
+                meta["flag"], dest=field.name, type=value_type(field), metavar=meta["metavar"], help=meta["help"]
+            )
 
 
-def _effective_config(args) -> CliConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else CliConfig()
-    return config.with_overrides(
-        sample_rate_hz=getattr(args, "sample_rate", None),
-        window_s=getattr(args, "window", None),
-        threshold_db=getattr(args, "threshold", None),
-        hop_s=getattr(args, "hop", None),
-        noise_percentile=getattr(args, "noise_percentile", None),
-        low_cutoff_hz=getattr(args, "low", None),
-        high_cutoff_hz=getattr(args, "high", None),
-        filter_order=getattr(args, "order", None),
-        fft_size=getattr(args, "fft_size", None),
-        spectrogram_hop=getattr(args, "spectrogram_hop", None),
-    )
+def _effective_config(args, base: CliConfig = CliConfig()) -> CliConfig:
+    config = load_config(args.config, base) if args.config else base
+    flags = {field.name: getattr(args, field.name, None) for field in dataclasses.fields(CliConfig)}
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -271,17 +258,8 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_repro_figures(args) -> int:
-    config = _effective_config(args)
-    # The library default threshold (90 dB) targets clips whose noise floor
-    # is near silence; the figure mixture needs a tuned value instead.
-    threshold_db = args.threshold if args.threshold is not None else 12.0
-    files = repro.run(
-        args.out_dir,
-        seed=args.seed,
-        snr_db=args.snr,
-        threshold_db=threshold_db,
-        config=config,
-    )
+    config = _effective_config(args, repro.BASE_CONFIG)
+    files = repro.run(args.out_dir, seed=args.seed, snr_db=args.snr, config=config)
     for name in files:
         print(f"wrote {os.path.join(args.out_dir, name)}")
     return 0
@@ -357,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
         "repro-figures",
         help="regenerate the waveform/decision-track and spectrogram figure data",
         description="Chains gen-corpus, mix, detect, and spectrogram into the "
-        "figure data set. Detection uses --threshold when given, otherwise a "
-        "tuned 12 dB suited to the generated mixtures.",
+        "figure data set. Detection uses --threshold, else threshold_db from "
+        f"--config, else a tuned {repro.BASE_CONFIG.threshold_db:g} dB suited "
+        "to the generated mixtures.",
     )
     p.add_argument("--out-dir", metavar="DIR", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="corpus seed")

@@ -1,47 +1,46 @@
 """Flat JSON configuration shared by every subcommand.
 
-Precedence: built-in defaults, then the --config file, then command-line
-flags. The effective values are echoed into output artifacts.
+Each setting is declared once, as a field of `CliConfig`: its default, and
+in the field metadata its command-line flag, metavar and help. The CLI
+flags and the config-file value types are derived from these fields. A
+field without a flag (`energy_floor`) is set only from a config file.
+
+Precedence: the command's base config (these defaults; `repro-figures`
+starts from `repro.BASE_CONFIG`), then the --config file, then flags. The
+effective values are echoed into output artifacts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import BadConfig
 from .filters import FilterSpec
 from .vad import VadConfig
 
-_FIELD_TYPES = {
-    "sample_rate_hz": int,
-    "filter_order": int,
-    "low_cutoff_hz": float,
-    "high_cutoff_hz": float,
-    "window_s": float,
-    "threshold_db": float,
-    "hop_s": float,
-    "noise_percentile": float,
-    "energy_floor": float,
-    "fft_size": int,
-    "spectrogram_hop": int,
-}
+
+def _setting(default, flag=None, metavar=None, help=None):
+    return dataclasses.field(default=default, metadata={"flag": flag, "metavar": metavar, "help": help})
 
 
 @dataclass(frozen=True)
 class CliConfig:
-    sample_rate_hz: int = 16000
-    filter_order: int = 4
-    low_cutoff_hz: float = 300.0
-    high_cutoff_hz: float = 1500.0
-    window_s: float = 0.31
-    threshold_db: float = 90.0
-    hop_s: float | None = None
-    noise_percentile: float = 0.10
-    energy_floor: float = 1e-10
-    fft_size: int = 1024
-    spectrogram_hop: int = 512
+    sample_rate_hz: int = _setting(FilterSpec.sample_rate_hz, "--sample-rate", "N", "pipeline sample rate in Hz")
+    filter_order: int = _setting(FilterSpec.order, "--order", "N", "overall bandpass order (even)")
+    low_cutoff_hz: float = _setting(FilterSpec.low_cutoff_hz, "--low", "HZ", "bandpass low cutoff in Hz")
+    high_cutoff_hz: float = _setting(FilterSpec.high_cutoff_hz, "--high", "HZ", "bandpass high cutoff in Hz")
+    window_s: float = _setting(VadConfig.window_length_s, "--window", "S", "analysis window length in seconds")
+    threshold_db: float = _setting(VadConfig.snr_threshold_db, "--threshold", "DB", "SNR decision threshold in dB")
+    hop_s: float | None = _setting(VadConfig.hop_length_s, "--hop", "S", "hop between frames in seconds")
+    noise_percentile: float = _setting(
+        VadConfig.noise_percentile, "--noise-percentile", "Q", "noise-floor quantile in (0,1)"
+    )
+    energy_floor: float = _setting(VadConfig.energy_floor)
+    fft_size: int = _setting(1024, "--fft-size", "N", "spectrogram FFT size (power of two)")
+    spectrogram_hop: int = _setting(512, "--spectrogram-hop", "N", "spectrogram hop in samples")
 
     def filter_spec(self) -> FilterSpec:
         return FilterSpec(
@@ -65,35 +64,49 @@ class CliConfig:
         d["hop_s"] = self.window_s if self.hop_s is None else self.hop_s
         return d
 
-    def with_overrides(self, **overrides) -> "CliConfig":
-        """Apply non-None keyword values over this config."""
-        live = {k: v for k, v in overrides.items() if v is not None}
-        for key in live:
-            if key not in _FIELD_TYPES:
-                raise BadConfig(f"unknown config key: {key}")
-        return dataclasses.replace(self, **live)
+
+def value_type(field: dataclasses.Field) -> type:
+    """int where the field's default is an int, float otherwise."""
+    return int if isinstance(field.default, int) else float
 
 
-def load_config(path) -> CliConfig:
-    """Read a flat JSON object of config keys; unknown keys are rejected."""
+def _parse_value(field: dataclasses.Field, value):
+    """The JSON value as the field's type; ValueError says why it is not one."""
+    if value is None and field.default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("too large") from None
+    if not math.isfinite(number):
+        raise ValueError("must be finite")
+    if value_type(field) is float:
+        return number
+    if not number.is_integer():
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def load_config(path, base: CliConfig = CliConfig()) -> CliConfig:
+    """Read a flat JSON object of config keys over `base`; unknown keys are rejected."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise BadConfig(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise BadConfig(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise BadConfig(f"config {path} must hold a JSON object")
+    fields = {field.name: field for field in dataclasses.fields(CliConfig)}
     values = {}
     for key, value in raw.items():
-        if key not in _FIELD_TYPES:
+        if key not in fields:
             raise BadConfig(f"config {path}: unknown key {key!r}")
-        if value is None and key == "hop_s":
-            values[key] = None
-            continue
         try:
-            values[key] = _FIELD_TYPES[key](value)
-        except (TypeError, ValueError) as exc:
-            raise BadConfig(f"config {path}: bad value for {key!r}: {value!r}") from exc
-    return CliConfig(**values)
+            values[key] = _parse_value(fields[key], value)
+        except ValueError as exc:
+            raise BadConfig(f"config {path}: bad value for {key!r}: {value!r} ({exc})") from None
+    return dataclasses.replace(base, **values)

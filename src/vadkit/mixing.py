@@ -43,7 +43,13 @@ def ambient_gain_for_snr(speech: np.ndarray, ambient: np.ndarray, snr_db: float)
         raise SilentComponent("speech clip is silent, SNR is undefined")
     if p_ambient == 0.0:
         raise SilentComponent("ambient clip is silent, SNR is undefined")
-    return math.sqrt(p_speech / (p_ambient * 10.0 ** (snr_db / 10.0)))
+    try:
+        gain = math.sqrt(p_speech / (p_ambient * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10 ** (snr / 10) overflows or underflows to 0
+        gain = math.nan
+    if not math.isfinite(gain):
+        raise InvalidSpec(f"target_snr_db of {snr_db} dB is out of range for these clips")
+    return gain
 
 
 def mix(speech: AudioBuffer, ambient: AudioBuffer, spec: MixSpec) -> AudioBuffer:

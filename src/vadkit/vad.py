@@ -28,7 +28,7 @@ class VadConfig:
     energy_floor: float = 1e-10
 
     def __post_init__(self):
-        for name in ("window_length_s", "hop_length_s", "snr_threshold_db"):
+        for name in ("window_length_s", "hop_length_s", "snr_threshold_db", "energy_floor"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise InvalidSpec(f"{name} must be finite, got {value}")
@@ -90,16 +90,16 @@ def frame_signal(buffer: AudioBuffer, config: VadConfig) -> np.ndarray:
     return frame_samples(buffer.samples, config.window_samples(rate), config.hop_samples(rate))
 
 
-def frame_energy_db(frame: np.ndarray, energy_floor: float = 1e-10) -> float:
+def frame_energy_db(frame: np.ndarray, energy_floor: float = VadConfig.energy_floor) -> float:
     """Mean-square frame energy in dB, clamped below by the floor."""
-    power = float(np.mean(np.square(np.asarray(frame, dtype=float))))
-    return 10.0 * math.log10(max(power, energy_floor))
+    return float(_frame_energies_db(np.asarray(frame, dtype=float)[None, :], energy_floor)[0])
 
 
 def _frame_energies_db(frames: np.ndarray, energy_floor: float) -> np.ndarray:
-    # One arithmetic path for every energy in the toolkit: the scalar
-    # helper. Frame counts are small; the per-row python loop is cheap.
-    return np.array([frame_energy_db(row, energy_floor) for row in frames])
+    # The row means are one array pass; the log stays scalar, because
+    # np.log10 can differ from math.log10 by one ulp.
+    powers = np.mean(np.square(frames), axis=1).tolist()
+    return np.array([10.0 * math.log10(max(power, energy_floor)) for power in powers])
 
 
 def estimate_noise_floor_db(energies_db: np.ndarray, config: VadConfig) -> float:

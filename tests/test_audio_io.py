@@ -90,6 +90,17 @@ def test_write_rejects_non_finite(tmp_path):
         write_wav(buf, tmp_path / "n.wav", format="float32")
 
 
+def test_float32_rejects_samples_beyond_its_range(tmp_path):
+    for big in (1e39, -1e308):
+        with pytest.raises(OutOfRange, match="float32"):
+            write_wav(AudioBuffer(np.array([0.0, big]), 16000), tmp_path / "o.wav", format="float32")
+    assert not (tmp_path / "o.wav").exists()
+    top = float(np.finfo(np.float32).max)  # the largest float32 still round-trips
+    write_wav(AudioBuffer(np.array([-top, top]), 16000), tmp_path / "top.wav", format="float32")
+    back, _ = read_wav(tmp_path / "top.wav")
+    assert back.samples.tolist() == [-top, top]
+
+
 def _stereo_wav_bytes(left, right, rate=16000):
     frames = b"".join(
         struct.pack("<hh", int(l * 32768), int(r * 32768)) for l, r in zip(left, right)
@@ -177,6 +188,9 @@ def test_resample_length_and_duration():
     assert out.sample_rate_hz == 16000
     assert len(out) == 16000  # ceil(44100 * 160/441)
     assert abs(out.duration_s - buf.duration_s) <= 1.0 / 16000
+    # Lengths that do not divide exactly round up.
+    assert len(resample(AudioBuffer(np.zeros(1000), 44100), 16000)) == 363
+    assert len(resample(AudioBuffer(np.zeros(7), 3), 2)) == 5
 
 
 def test_resample_dc_preserved():

@@ -166,6 +166,7 @@ def test_sweep_bad_thresholds_exit_2(cli_corpus, tmp_path, capsys):
 
 _SWEEP = ["sweep", "--windows", "0.31", "--thresholds", "12", "--manifest"]
 _MIX = ["mix", "z.wav", "z.wav", "--gain", "0.5", "--out", "m.wav", "--speech-labels", "bad.json"]
+_DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
 
 
 @pytest.mark.parametrize(
@@ -187,6 +188,14 @@ _MIX = ["mix", "z.wav", "z.wav", "--gain", "0.5", "--out", "m.wav", "--speech-la
         (["repro-figures", "--out-dir", "figs", "--snr", "nan"], None, "target_snr_db"),
         (["gen-corpus", "--out-dir", "corpus", "--duration", "nan"], None, "clip_duration_s"),
         (["gen-corpus", "--out-dir", "corpus", "--duration", "inf"], None, "clip_duration_s"),
+        (["mix", "z.wav", "z.wav", "--gain", "1e308", "--out", "m.wav"], None, "float32"),
+        (["mix", "z.wav", "z.wav", "--snr", "1e308", "--out", "m.wav"], None, "target_snr_db"),
+        (["mix", "z.wav", "z.wav", "--snr=-1e308", "--out", "m.wav"], None, "target_snr_db"),
+        (_DETECT_CONFIG, '{"sample_rate_hz": 1e400}', "sample_rate_hz"),
+        (_DETECT_CONFIG, '{"sample_rate_hz": 1' + "0" * 400 + "}", "sample_rate_hz"),
+        (_DETECT_CONFIG, '{"sample_rate_hz": 16000.7}', "sample_rate_hz"),
+        (_DETECT_CONFIG, '{"energy_floor": NaN}', "energy_floor"),
+        (_DETECT_CONFIG, '{"energy_floor": Infinity}', "energy_floor"),
     ],
     ids=[
         "eval-missing-manifest",
@@ -205,10 +214,19 @@ _MIX = ["mix", "z.wav", "z.wav", "--gain", "0.5", "--out", "m.wav", "--speech-la
         "repro-snr-nan",
         "gen-corpus-duration-nan",
         "gen-corpus-duration-inf",
+        "mix-gain-overflows-float32",
+        "mix-snr-overflows",
+        "mix-snr-underflows",
+        "config-rate-1e400",
+        "config-rate-400-digits",
+        "config-rate-not-integral",
+        "config-energy-floor-nan",
+        "config-energy-floor-inf",
     ],
 )
 def test_bad_input_exits_2(argv, bad_file, field, capsys, chdir_tmp):
-    write_wav(AudioBuffer(np.zeros(16000), 16000), chdir_tmp / "z.wav")
+    # Not silent, so that mixing it reaches the gain and the WAV writer.
+    write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
     if bad_file is not None:
         (chdir_tmp / "bad.json").write_text(bad_file)
     assert _run(argv) == 2

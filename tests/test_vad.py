@@ -54,6 +54,8 @@ def test_config_validation():
             VadConfig(hop_length_s=bad)
         with pytest.raises(InvalidSpec):
             VadConfig(snr_threshold_db=bad)
+        with pytest.raises(InvalidSpec, match="energy_floor"):
+            VadConfig(energy_floor=bad)
     # Finite, but the sample count overflows a float.
     with pytest.raises(InvalidSpec, match="window_length_s"):
         VadConfig(window_length_s=1e305).window_samples(16000)
