@@ -1,0 +1,55 @@
+"""Every file vadkit writes reaches disk through this module. A path that
+cannot be written raises IoFailure, which the CLI reports with exit code 2.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+
+from .errors import IoFailure
+
+# Rows formatted per write: the text of a whole long table would raise peak memory.
+_BLOCK_ROWS = 4096
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """Binary handle on path, created or truncated; an OSError while writing raises IoFailure."""
+    try:
+        with open(path, "wb") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def make_output_dir(path) -> None:
+    """Create the directory path and its parents unless it exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(payload, path, indent: int | None = 2) -> None:
+    """`json.dumps` text plus a newline; dumps, unlike dump, can use the C encoder."""
+    text = json.dumps(payload, indent=indent) + "\n"
+    with open_output(path) as fh:
+        fh.write(text.encode())
+
+
+def write_table(path, columns: dict, line_end: str) -> None:
+    """A header of column names, then one line per row of comma-separated cells.
+
+    columns maps each name to an equal-length 1-D numpy array. Each block of
+    rows is converted with `.tolist()`, so a cell's text is the repr of a
+    Python int or float, which is also what `csv` writes for it.
+    """
+    arrays = list(columns.values())
+    row = ",".join(["{!r}"] * len(arrays)) + line_end
+    with open_output(path) as fh:
+        fh.write((",".join(columns) + line_end).encode())
+        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
+            cells = [a[start : start + _BLOCK_ROWS].tolist() for a in arrays]
+            fh.write("".join(map(row.format, *cells)).encode())

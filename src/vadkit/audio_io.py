@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from .artifacts import open_output
 from .errors import (
     EmptySignal,
     InvalidRate,
+    InvalidSpec,
     IoFailure,
     MalformedWav,
     OutOfRange,
@@ -46,7 +48,7 @@ class AudioBuffer:
             raise InvalidRate(f"sample rate must be positive, got {self.sample_rate_hz}")
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
-            raise ValueError(f"AudioBuffer wants a 1-D array, got shape {arr.shape}")
+            raise InvalidSpec(f"AudioBuffer wants a 1-D array, got shape {arr.shape}")
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
@@ -152,6 +154,7 @@ def write_wav(buffer: AudioBuffer, path: str | Path, format: str = "pcm16") -> N
     Raises:
         OutOfRange: non-finite samples, |sample| > 1 for pcm16, or a sample
             that float32 cannot hold.
+        InvalidSpec: format is neither "pcm16" nor "float32".
         IoFailure: file cannot be written.
     """
     x = buffer.samples
@@ -171,12 +174,10 @@ def write_wav(buffer: AudioBuffer, path: str | Path, format: str = "pcm16") -> N
         payload = x32.tobytes()
         header = _wav_header(_FORMAT_FLOAT, 32, buffer.sample_rate_hz, len(x), len(payload))
     else:
-        raise ValueError(f"unknown WAV format {format!r} (use 'pcm16' or 'float32')")
+        raise InvalidSpec(f"unknown WAV format {format!r} (use 'pcm16' or 'float32')")
 
-    try:
-        Path(path).write_bytes(header + payload)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with open_output(path) as fh:
+        fh.write(header + payload)
 
 
 def _wav_header(format_code: int, bits: int, rate: int, frames: int, data_bytes: int) -> bytes:
@@ -261,7 +262,7 @@ def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
 def truncate_to(buffer: AudioBuffer, duration_s: float) -> AudioBuffer:
     """Cut or zero-pad to exactly floor(duration * rate) samples."""
     if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+        raise InvalidSpec(f"duration must be positive, got {duration_s}")
     # Guard float rounding so exact durations hit their integer sample count.
     n = int(math.floor(duration_s * buffer.sample_rate_hz + 1e-9))
     x = buffer.samples
@@ -277,7 +278,7 @@ def peak_normalize(buffer: AudioBuffer, target_peak: float = 1.0) -> AudioBuffer
     if len(buffer) == 0:
         raise EmptySignal("cannot normalize an empty buffer")
     if not 0.0 < target_peak <= 1.0:
-        raise ValueError(f"target peak must be in (0, 1], got {target_peak}")
+        raise InvalidSpec(f"target peak must be in (0, 1], got {target_peak}")
     peak = float(np.max(np.abs(buffer.samples)))
     if peak == 0.0:
         return AudioBuffer(buffer.samples, buffer.sample_rate_hz)

@@ -14,9 +14,10 @@ import os
 import sys
 
 from . import __version__, repro
+from .artifacts import write_json, write_table
 from .audio_io import AudioBuffer, load_at_rate, read_wav, write_wav
 from .config import CliConfig, load_config, value_type
-from .corpus import generate_corpus
+from .corpus import generate_corpus, labels_sidecar_path
 from .errors import IoFailure, LengthMismatch, VadKitError
 from .evaluate import (
     evaluate_clips,
@@ -50,12 +51,6 @@ def _effective_config(args, base: CliConfig = CliConfig()) -> CliConfig:
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def cmd_detect(args) -> int:
     config = _effective_config(args)
     buffer = load_at_rate(args.input, config.sample_rate_hz)
@@ -66,10 +61,9 @@ def cmd_detect(args) -> int:
     payload["effective_config"] = config.to_dict()
     payload["input_path"] = args.input
     out = args.out or os.path.splitext(args.input)[0] + ".vad.json"
-    _write_json(payload, out)
+    write_json(payload, out)
     if args.frames_csv:
-        with open(args.frames_csv, "w", newline="") as fh:
-            frames_to_csv(result, fh)
+        frames_to_csv(result, args.frames_csv)
 
     print(f"noise floor: {result.noise_power_db:.2f} dB")
     print(f"speech intervals ({len(result.intervals)}):")
@@ -80,7 +74,7 @@ def cmd_detect(args) -> int:
 
 
 def _speech_labels_for(path: str, override: str | None, duration_s: float):
-    labels = override or os.path.splitext(path)[0] + ".labels.json"
+    labels = override or labels_sidecar_path(path)
     if not override and not os.path.exists(labels):
         return [(0.0, duration_s)]
     try:
@@ -108,24 +102,22 @@ def cmd_mix(args) -> int:
         ambient_gain=args.gain,
         normalize_peak=args.normalize_peak,
     )
+    if spec.target_snr_db is not None:  # mix at the solved gain, which the sidecar records
+        gain = ambient_gain_for_snr(speech.samples, ambient.samples, spec.target_snr_db)
+        spec = MixSpec(ambient_gain=gain, normalize_peak=spec.normalize_peak)
     mixed = mix(speech, ambient, spec)
     write_wav(mixed, args.out, format=args.format)
 
-    gain = (
-        ambient_gain_for_snr(speech.samples, ambient.samples, args.snr)
-        if args.snr is not None
-        else args.gain
-    )
     sidecar = {
         "speech_source": args.speech,
         "ambient_source": args.ambient,
         "target_snr_db": args.snr,
-        "ambient_gain": gain,
+        "ambient_gain": spec.ambient_gain,
         "speech_intervals": [list(iv) for iv in labels],
         "effective_config": config.to_dict(),
     }
-    _write_json(sidecar, os.path.splitext(args.out)[0] + ".mix.json")
-    print(f"wrote {args.out} ({mixed.duration_s:.3f} s, ambient gain {gain:.6f})")
+    write_json(sidecar, os.path.splitext(args.out)[0] + ".mix.json")
+    print(f"wrote {args.out} ({mixed.duration_s:.3f} s, ambient gain {spec.ambient_gain:.6f})")
     return 0
 
 
@@ -133,18 +125,14 @@ def cmd_spectrogram(args) -> int:
     config = _effective_config(args)
     buffer = load_at_rate(args.input, config.sample_rate_hz)
     matrix = spectrogram(buffer, fft_size=config.fft_size, hop_samples=config.spectrogram_hop)
-    stem = os.path.splitext(args.input)[0]
+    out = args.out or os.path.splitext(args.input)[0] + ".spec." + args.format
     if args.format == "json":
-        out = args.out or stem + ".spec.json"
         payload = to_json_dict(matrix)
         payload["effective_config"] = config.to_dict()
-        _write_json(payload, out)
+        write_json(payload, out)
     elif args.format == "csv":
-        out = args.out or stem + ".spec.csv"
-        with open(out, "w", newline="") as fh:
-            write_long_csv(matrix, fh)
+        write_long_csv(matrix, out)
     else:
-        out = args.out or stem + ".spec.pgm"
         write_pgm(matrix, out)
     print(f"wrote {out} ({matrix.frame_count} frames x {matrix.bin_count} bins)")
     return 0
@@ -155,17 +143,14 @@ def cmd_filter_dump(args) -> int:
     cascade = design_butterworth_bandpass(config.filter_spec())
     payload = cascade_to_dict(cascade)
     payload["effective_config"] = config.to_dict()
-    _write_json(payload, args.out)
+    write_json(payload, args.out)
 
     nyquist = config.sample_rate_hz / 2.0
     freqs = np.linspace(0.0, nyquist, 801)
     freqs = np.unique(np.concatenate([freqs, [config.low_cutoff_hz, config.high_cutoff_hz]]))
     mags = response_sweep(cascade, freqs)
     csv_path = args.response_csv or os.path.splitext(args.out)[0] + ".response.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("freq_hz,magnitude_db\n")
-        for f, m in zip(freqs, mags):
-            fh.write(f"{float(f)!r},{float(m)!r}\n")
+    write_table(csv_path, {"freq_hz": freqs, "magnitude_db": mags}, "\n")
     print(f"wrote {args.out} ({len(cascade.sections)} sections) and {csv_path}")
     return 0
 
@@ -184,7 +169,7 @@ def cmd_eval(args) -> int:
         ],
         "effective_config": config.to_dict(),
     }
-    _write_json(payload, args.out)
+    write_json(payload, args.out)
     print(
         f"clips: {len(clips)}  tp={aggregate.tp} fp={aggregate.fp} "
         f"tn={aggregate.tn} fn={aggregate.fn}  f1={aggregate.f1:.4f}"
@@ -203,6 +188,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
+def _grid_point_dict(point) -> dict:
+    return {"window_s": point.window_s, "threshold_db": point.threshold_db, "report": report_to_dict(point.report)}
+
+
 def cmd_sweep(args) -> int:
     config = _effective_config(args)
     clips = load_manifest(args.manifest)
@@ -216,25 +205,13 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
     )
     payload = {
-        "grid": [
-            {
-                "window_s": p.window_s,
-                "threshold_db": p.threshold_db,
-                "report": report_to_dict(p.report),
-            }
-            for p in result.grid
-        ],
-        "best": {
-            "window_s": result.best.window_s,
-            "threshold_db": result.best.threshold_db,
-            "report": report_to_dict(result.best.report),
-        },
+        "grid": [_grid_point_dict(p) for p in result.grid],
+        "best": _grid_point_dict(result.best),
         "effective_config": config.to_dict(),
     }
-    _write_json(payload, args.out)
+    write_json(payload, args.out)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            sweep_to_csv(result, fh)
+        sweep_to_csv(result, args.csv)
     best = result.best
     print(
         f"best: window={best.window_s:g} s threshold={best.threshold_db:g} dB "

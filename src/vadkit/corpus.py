@@ -14,12 +14,12 @@ Every clip gets a `<stem>.labels.json` sidecar and the set is indexed by
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
 import numpy as np
 
+from .artifacts import make_output_dir, write_json
 from .audio_io import AudioBuffer, write_wav
 from .errors import InvalidSpec
 from .evaluate import LabeledClip, save_manifest
@@ -86,7 +86,8 @@ def _speech_surrogate(
     return x
 
 
-def _labels_sidecar_path(wav_path: str) -> str:
+def labels_sidecar_path(wav_path: str) -> str:
+    """Where a clip's speech labels live: `<stem>.labels.json` beside it."""
     return os.path.splitext(wav_path)[0] + ".labels.json"
 
 
@@ -94,17 +95,7 @@ def _write_clip(out_dir: str, name: str, samples, sample_rate_hz, intervals, not
     path = os.path.join(out_dir, name)
     write_wav(AudioBuffer(samples, sample_rate_hz), path, format="pcm16")
     clip = LabeledClip(audio_path=path, speech_intervals=tuple(intervals), source_note=note)
-    with open(_labels_sidecar_path(path), "w") as fh:
-        json.dump(
-            {
-                "audio_path": name,
-                "speech_intervals": [[s, e] for s, e in clip.speech_intervals],
-                "source_note": note,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(clip.to_dict(name), labels_sidecar_path(path))
     return clip
 
 
@@ -119,7 +110,7 @@ def generate_corpus(
         raise InvalidSpec(f"clip_duration_s must be finite, got {clip_duration_s}")
     if clip_duration_s < max(g[-1][1] for g in (_GATES_A, _GATES_B)):
         raise InvalidSpec(f"clip duration {clip_duration_s} s too short for the gate schedule")
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     rng = np.random.default_rng(seed)
     n = int(round(clip_duration_s * sample_rate_hz))
     fs = sample_rate_hz

@@ -7,7 +7,6 @@ across clips; derived rates fall back to 0.0 when their denominator is 0.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json, write_table
 from .audio_io import AudioBuffer, load_at_rate
 from .errors import IoFailure, LabelOutOfRange, SweepFailure, VadKitError
 from .filters import BiquadCascade, apply_cascade
@@ -41,6 +41,14 @@ class LabeledClip:
             if prev_end is not None and start < prev_end:
                 raise LabelOutOfRange(f"overlapping intervals in {self.audio_path}")
             prev_end = end
+
+    def to_dict(self, audio_path: str) -> dict:
+        """The clip as a manifest entry or a labels sidecar, its audio named audio_path."""
+        return {
+            "audio_path": audio_path,
+            "speech_intervals": [[s, e] for s, e in self.speech_intervals],
+            "source_note": self.source_note,
+        }
 
 
 @dataclass(frozen=True)
@@ -160,19 +168,7 @@ def load_manifest(path) -> list[LabeledClip]:
 def save_manifest(clips, path) -> None:
     """Write a manifest with audio paths stored relative to its directory."""
     base = os.path.dirname(os.path.abspath(path))
-    entries = []
-    for clip in clips:
-        audio = os.path.relpath(os.path.abspath(clip.audio_path), base)
-        entries.append(
-            {
-                "audio_path": audio,
-                "speech_intervals": [[s, e] for s, e in clip.speech_intervals],
-                "source_note": clip.source_note,
-            }
-        )
-    with open(path, "w") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
+    write_json([clip.to_dict(os.path.relpath(os.path.abspath(clip.audio_path), base)) for clip in clips], path)
 
 
 def _parallel_map(fn, args: list[tuple], jobs: int) -> list:
@@ -272,14 +268,12 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def sweep_to_csv(result: SweepResult, fileobj) -> None:
-    writer = csv.writer(fileobj)
-    writer.writerow(
-        ["window_s", "threshold_db", "tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"]
-    )
-    for point in result.grid:
-        r = point.report
-        writer.writerow(
-            [point.window_s, point.threshold_db, r.tp, r.fp, r.tn, r.fn,
-             r.accuracy, r.precision, r.recall, r.f1]
-        )
+def sweep_to_csv(result: SweepResult, path) -> None:
+    """One CSV row per grid point, CRLF line ends."""
+    columns = {
+        "window_s": [p.window_s for p in result.grid],
+        "threshold_db": [p.threshold_db for p in result.grid],
+    }
+    for name in ("tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"):
+        columns[name] = [getattr(p.report, name) for p in result.grid]
+    write_table(path, {name: np.array(values) for name, values in columns.items()}, "\r\n")

@@ -9,17 +9,17 @@ as plain data files. Same seed and flags, same bytes.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
 
+from .artifacts import make_output_dir, write_json, write_table
 from .audio_io import AudioBuffer, read_wav
 from .config import CliConfig
 from .corpus import generate_corpus
 from .filters import apply_cascade, design_butterworth_bandpass
 from .mixing import MixSpec, mix
-from .spectrogram import spectrogram, write_json, write_pgm
+from .spectrogram import spectrogram, to_json_dict, write_pgm
 from .vad import detect_prefiltered, frames_to_csv, result_to_dict
 
 
@@ -42,7 +42,7 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
     # Validate every setting before the first file is written.
     mix_spec = MixSpec(target_snr_db=snr_db, normalize_peak=0.9)
     vad_config = config.vad_config()
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
     written: list[str] = []
 
     corpus_dir = os.path.join(out_dir, "corpus")
@@ -61,22 +61,15 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
         written.append(name)
         return os.path.join(out_dir, name)
 
-    with open(_out("fig3_waveform.csv"), "w", newline="") as fh:
-        fh.write("time_s,amplitude\n")
-        fs = mixed.sample_rate_hz
-        for i, v in enumerate(mixed.samples):
-            fh.write(f"{i / fs!r},{float(v)!r}\n")
-
-    with open(_out("fig3_decisions.csv"), "w", newline="") as fh:
-        frames_to_csv(result, fh)
+    times = np.arange(len(mixed)) / mixed.sample_rate_hz
+    write_table(_out("fig3_waveform.csv"), {"time_s": times, "amplitude": mixed.samples}, "\n")
+    frames_to_csv(result, _out("fig3_decisions.csv"))
 
     detection = result_to_dict(result)
     detection["effective_config"] = config.to_dict()
     detection["snr_db"] = snr_db
     detection["threshold_db"] = config.threshold_db
-    with open(_out("fig3_detection.json"), "w") as fh:
-        json.dump(detection, fh, indent=2)
-        fh.write("\n")
+    write_json(detection, _out("fig3_detection.json"))
 
     detected = AudioBuffer(
         filtered.samples
@@ -93,7 +86,7 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
         matrix = spectrogram(
             buffer, fft_size=config.fft_size, hop_samples=config.spectrogram_hop
         )
-        write_json(matrix, _out(f"fig4_{name}.json"))
+        write_json(to_json_dict(matrix), _out(f"fig4_{name}.json"), indent=None)
         write_pgm(matrix, _out(f"fig4_{name}.pgm"))
 
     summary = {
@@ -105,7 +98,5 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
         "intervals_detected": [list(iv) for iv in result.intervals],
         "files": list(written),
     }
-    with open(_out("summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(summary, _out("summary.json"))
     return written

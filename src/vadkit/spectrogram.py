@@ -8,13 +8,12 @@ their hops match.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import open_output, write_table
 from .audio_io import AudioBuffer, frame_samples
 from .errors import EmptySignal, InvalidFft
 
@@ -75,27 +74,18 @@ def to_json_dict(spec: SpectrogramMatrix) -> dict:
         "sample_rate_hz": spec.sample_rate_hz,
         "frame_count": spec.frame_count,
         "bin_count": spec.bin_count,
-        "magnitudes_db": [[float(v) for v in row] for row in spec.magnitudes_db],
+        "magnitudes_db": spec.magnitudes_db.tolist(),
     }
 
 
-def write_json(spec: SpectrogramMatrix, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(spec), fh)
-        fh.write("\n")
-
-
-def write_long_csv(spec: SpectrogramMatrix, fileobj) -> None:
-    """One row per (frame, bin) cell: time_s, freq_hz, magnitude_db."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["time_s", "freq_hz", "magnitude_db"])
-    times = spec.times_s()
-    freqs = spec.freqs_hz()
-    for i in range(spec.frame_count):
-        t = times[i]
-        row = spec.magnitudes_db[i]
-        for j in range(spec.bin_count):
-            writer.writerow([t, freqs[j], row[j]])
+def write_long_csv(spec: SpectrogramMatrix, path) -> None:
+    """One CSV row per (frame, bin) cell: time_s, freq_hz, magnitude_db; CRLF line ends."""
+    columns = {
+        "time_s": np.repeat(spec.times_s(), spec.bin_count),
+        "freq_hz": np.tile(spec.freqs_hz(), spec.frame_count),
+        "magnitude_db": spec.magnitudes_db.ravel(),
+    }
+    write_table(path, columns, "\r\n")
 
 
 def write_pgm(spec: SpectrogramMatrix, path) -> None:
@@ -109,6 +99,6 @@ def write_pgm(spec: SpectrogramMatrix, path) -> None:
     levels = np.clip((db - DB_FLOOR) / span * 255.0, 0.0, 255.0)
     img = np.flipud(np.round(levels).astype(np.uint8).T)
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n"
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(header.encode("ascii"))
         fh.write(img.tobytes())

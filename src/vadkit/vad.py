@@ -8,12 +8,12 @@ frames merge into intervals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_table
 from .audio_io import AudioBuffer, frame_samples
 from .errors import EmptySignal, InvalidSpec, NoFrames
 from .filters import BiquadCascade, apply_cascade
@@ -180,8 +180,8 @@ def result_to_dict(result: VadResult) -> dict:
     }
 
 
-def frames_to_csv(result: VadResult, fileobj) -> None:
-    writer = csv.writer(fileobj)
-    writer.writerow(FRAME_DTYPE.names)
-    for *fields, is_speech in result.frames.tolist():
-        writer.writerow([*fields, int(is_speech)])
+def frames_to_csv(result: VadResult, path) -> None:
+    """The frame table as CSV, is_speech as 0/1, CRLF line ends."""
+    columns = {name: result.frames[name] for name in FRAME_DTYPE.names}
+    columns["is_speech"] = columns["is_speech"].astype(np.int8)
+    write_table(path, columns, "\r\n")

@@ -9,6 +9,7 @@ from vadkit import AudioBuffer, peak_normalize, read_wav, resample, spectrogram,
 from vadkit.errors import (
     EmptySignal,
     InvalidRate,
+    InvalidSpec,
     IoFailure,
     MalformedWav,
     OutOfRange,
@@ -275,3 +276,21 @@ def test_peak_normalize_zero_guard():
 def test_peak_normalize_empty_rejected():
     with pytest.raises(EmptySignal):
         peak_normalize(AudioBuffer(np.zeros(0), 16000), 0.9)
+
+
+def test_bad_arguments_raise_invalid_spec(tmp_path):
+    buf = AudioBuffer(np.zeros(100), 16000)
+    with pytest.raises(InvalidSpec):
+        AudioBuffer(np.zeros((2, 50)), 16000)
+    with pytest.raises(InvalidSpec):
+        write_wav(buf, tmp_path / "a.wav", format="pcm24")
+    with pytest.raises(InvalidSpec):
+        truncate_to(buf, 0.0)
+    with pytest.raises(InvalidSpec):
+        peak_normalize(buf, 1.5)
+    assert not (tmp_path / "a.wav").exists()
+
+
+def test_unwritable_path_is_io_failure(tmp_path):
+    with pytest.raises(IoFailure, match="cannot write"):
+        write_wav(AudioBuffer(np.zeros(100), 16000), tmp_path / "missing" / "a.wav")

@@ -236,6 +236,54 @@ def test_bad_input_exits_2(argv, bad_file, field, capsys, chdir_tmp):
     assert sorted(os.listdir(chdir_tmp)) == sorted(["z.wav"] + ["bad.json"] * (bad_file is not None))
 
 
+_MANIFEST = ["--manifest", "m.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["detect", "z.wav", "--out", "missing/d.json"], "missing/d.json"),
+        (["detect", "z.wav", "--out", "d.json", "--frames-csv", "missing/f.csv"], "missing/f.csv"),
+        (["spectrogram", "z.wav", "--format", "pgm", "--out", "missing/s.pgm"], "missing/s.pgm"),
+        (["filter-dump", "--out", "missing/f.json"], "missing/f.json"),
+        (["sweep", *_MANIFEST, "--windows", "0.31", "--thresholds", "12", "--out", "missing/s.json"],
+         "missing/s.json"),
+        (["eval", *_MANIFEST, "--out", "missing/e.json"], "missing/e.json"),
+        (["repro-figures", "--out-dir", "m.json"], "m.json"),
+        (["gen-corpus", "--out-dir", "m.json/corpus"], "m.json/corpus"),
+    ],
+    ids=[
+        "detect-out", "detect-frames-csv", "spectrogram-pgm", "filter-dump",
+        "sweep", "eval", "repro-out-dir-is-file", "gen-corpus-under-file",
+    ],
+)
+def test_unwritable_output_exits_2(argv, path, capsys, chdir_tmp):
+    write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
+    (chdir_tmp / "m.json").write_text('[{"audio_path": "z.wav", "speech_intervals": []}]')
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {path}: " in err.splitlines()[0]
+
+
+def test_mix_solves_the_gain_once(cli_corpus, tmp_path, monkeypatch):
+    from vadkit import cli, mixing
+
+    calls = []
+    solve = mixing.ambient_gain_for_snr
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cli, "ambient_gain_for_snr", counted)
+    monkeypatch.setattr(mixing, "ambient_gain_for_snr", counted)
+    assert _run([
+        "mix", cli_corpus / "speech_a.wav", cli_corpus / "ambient_white.wav",
+        "--snr", "10", "--out", tmp_path / "m.wav",
+    ]) == 0
+    assert len(calls) == 1
+
+
 def test_eval_and_sweep_reject_jobs_below_one(cli_corpus, tmp_path, capsys):
     manifest = cli_corpus / "manifest.json"
     assert _run(["eval", "--manifest", manifest, "--out", tmp_path / "e.json", "--jobs", "0"]) == 2

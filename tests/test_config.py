@@ -1,6 +1,7 @@
 """The settings schema: config-file values, echo of every setting, the repro
 threshold precedence, the man page, and a property test over config files."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from vadkit import AudioBuffer, CliConfig, load_config, write_wav
-from vadkit.cli import main
+from vadkit.cli import build_parser, main
 from vadkit.errors import BadConfig
 
 FIELDS = dataclasses.fields(CliConfig)
@@ -122,8 +123,13 @@ def test_man_page_names_every_setting():
     text = (Path(__file__).parents[1] / "docs" / "vadkit.1.md").read_text()
     for field in FIELDS:
         assert f"`{field.name}`" in text, field.name
-        if field.metadata["flag"]:
-            assert f"**{field.metadata['flag']}**" in text, field.metadata["flag"]
+    # Every flag of every subcommand, the settings' flags among them.
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in subcommands.choices.items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--"):
+                    assert f"**{flag}**" in text, (name, flag)
 
 
 class Raw(str):

@@ -245,13 +245,10 @@ def test_evaluate_clips_parallel_matches_serial(corpus_dir):
     assert agg1.tp + agg1.fp + agg1.tn + agg1.fn == total_frames
 
 
-def test_sweep_csv_format(corpus_dir):
-    import io
-
+def test_sweep_csv_format(corpus_dir, tmp_path):
     clips, cascade = _sweep_fixture(corpus_dir)
     result = sweep(clips[:2], [0.31], [6.0, 12.0], cascade)
-    sink = io.StringIO()
-    sweep_to_csv(result, sink)
-    lines = sink.getvalue().strip().splitlines()
+    sweep_to_csv(result, tmp_path / "sweep.csv")
+    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "window_s,threshold_db,tp,fp,tn,fn,accuracy,precision,recall,f1"
     assert len(lines) == 3

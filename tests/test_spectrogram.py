@@ -1,6 +1,5 @@
 """STFT magnitudes, bin localization, floor behavior, and export formats."""
 
-import io
 import math
 
 import numpy as np
@@ -86,11 +85,10 @@ def test_json_dict_shape():
     assert len(d["magnitudes_db"][0]) == d["bin_count"]
 
 
-def test_long_csv():
+def test_long_csv(tmp_path):
     m = spectrogram(_tone(1000.0, seconds=0.1))
-    sink = io.StringIO()
-    write_long_csv(m, sink)
-    lines = sink.getvalue().strip().splitlines()
+    write_long_csv(m, tmp_path / "long.csv")
+    lines = (tmp_path / "long.csv").read_text().strip().splitlines()
     assert lines[0] == "time_s,freq_hz,magnitude_db"
     assert len(lines) == 1 + m.frame_count * m.bin_count
 

@@ -1,7 +1,6 @@
 """Framing, energies, noise floor, thresholding, interval merging."""
 
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -275,11 +274,10 @@ def test_result_dict_shape(burst_setup):
     assert len(d["frames"]) == len(result.frames)
 
 
-def test_frames_csv(burst_setup):
+def test_frames_csv(burst_setup, tmp_path):
     cascade, config = burst_setup
     result = detect(_burst_clip(), cascade, config)
-    sink = io.StringIO()
-    frames_to_csv(result, sink)
-    lines = sink.getvalue().strip().splitlines()
+    frames_to_csv(result, tmp_path / "frames.csv")
+    lines = (tmp_path / "frames.csv").read_text().strip().splitlines()
     assert lines[0] == "index,start_s,energy_db,snr_db,is_speech"
     assert len(lines) == len(result.frames) + 1

@@ -1,0 +1,84 @@
+"""Print a SHA-256 digest of every artifact a fixed set of vadkit commands writes.
+
+Runs each command through `vadkit.cli.main` inside a fresh temporary
+directory, with relative paths so that no artifact records where it ran.
+Prints one `sha256  relpath` line per file written, including one
+`stdout/NN-name.txt` file per command that holds its exit code and stdout.
+Two checkouts write the same bytes when their outputs are identical:
+
+    PYTHONPATH=src python3 tools/artifact_digests.py > change.txt
+    PYTHONPATH=../parent/src python3 tools/artifact_digests.py > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from vadkit.cli import main
+
+_CLIP = "corpus/mix_a_white_snr10.wav"
+_MANIFEST = "corpus/manifest.json"
+
+COMMANDS = [
+    ("gen-corpus", ["gen-corpus", "--out-dir", "corpus", "--seed", "0"]),
+    ("detect-t90", ["detect", _CLIP, "--out", "detect_t90.json", "--frames-csv", "detect_t90.csv",
+                    "--threshold", "90"]),
+    ("detect-t12", ["detect", _CLIP, "--out", "detect_t12.json", "--frames-csv", "detect_t12.csv",
+                    "--threshold", "12"]),
+    ("detect-w20-h10", ["detect", _CLIP, "--out", "detect_w20.json", "--frames-csv", "detect_w20.csv",
+                        "--threshold", "12", "--window", "0.02", "--hop", "0.01"]),
+    ("sweep", ["sweep", "--manifest", _MANIFEST, "--windows", "0.155,0.31",
+               "--thresholds", "6,12,20", "--out", "sweep.json", "--csv", "sweep.csv"]),
+    ("eval", ["eval", "--manifest", _MANIFEST, "--threshold", "12", "--out", "eval.json"]),
+    ("filter-dump", ["filter-dump", "--out", "filter.json"]),
+    ("spectrogram-json", ["spectrogram", "corpus/speech_a.wav", "--format", "json", "--out", "spec.json"]),
+    ("spectrogram-csv", ["spectrogram", "corpus/speech_a.wav", "--format", "csv", "--out", "spec.csv"]),
+    ("spectrogram-pgm", ["spectrogram", "corpus/speech_a.wav", "--format", "pgm", "--out", "spec.pgm"]),
+    ("mix", ["mix", "corpus/speech_a.wav", "corpus/ambient_white.wav", "--snr", "10",
+             "--normalize-peak", "0.9", "--out", "mix.wav"]),
+    ("repro-figures-seed0", ["repro-figures", "--out-dir", "figs0", "--seed", "0"]),
+    ("repro-figures-seed3", ["repro-figures", "--out-dir", "figs3", "--seed", "3"]),
+]
+
+
+def run_commands(root: str) -> None:
+    os.makedirs(os.path.join(root, "stdout"))
+    for i, (name, argv) in enumerate(COMMANDS):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        with open(os.path.join(root, "stdout", f"{i:02d}-{name}.txt"), "w") as fh:
+            fh.write(f"exit {code}\n{out.getvalue()}")
+
+
+def digests(root: str):
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            yield digest, os.path.relpath(path, root)
+
+
+def main_digests() -> int:
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        os.chdir(root)
+        try:
+            run_commands(root)
+        finally:
+            os.chdir(start)
+        for digest, rel in digests(root):
+            print(f"{digest}  {rel}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())
