@@ -1,5 +1,5 @@
-"""Every file vadkit writes reaches disk through this module. A path that
-cannot be written raises IoFailure, which the CLI reports with exit code 2.
+"""Every file vadkit writes, and every JSON file it reads, passes through this
+module. A path that cannot be read or written raises IoFailure (exit code 2).
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import contextlib
 import json
 import os
 
-from .errors import IoFailure
+from .errors import IoFailure, VadKitError
 
 # Rows formatted per write: the text of a whole long table would raise peak memory.
 _BLOCK_ROWS = 4096
@@ -22,6 +22,17 @@ def open_output(path):
             yield fh
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """The parsed JSON document at path; what names the file in errors ("manifest", "config")."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+        raise VadKitError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def make_output_dir(path) -> None:

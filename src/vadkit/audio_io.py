@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .artifacts import open_output
@@ -246,7 +247,7 @@ def _design_polyphase(up: int, source_rate: int, target_rate_hz: int) -> np.ndar
 
 
 def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
-    """Rows of `win` samples starting every `hop` samples.
+    """Rows of `win` samples starting every `hop` samples, as a read-only view.
 
     There are ceil(len / hop) rows and the tail is zero padded, so every
     sample lands in at least one row.
@@ -255,8 +256,7 @@ def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     n_frames = -(-n // hop)
     xpad = np.zeros((n_frames - 1) * hop + win)
     xpad[:n] = samples
-    idx = np.arange(win)[None, :] + (np.arange(n_frames) * hop)[:, None]
-    return xpad[idx]
+    return sliding_window_view(xpad, win)[::hop]
 
 
 def truncate_to(buffer: AudioBuffer, duration_s: float) -> AudioBuffer:

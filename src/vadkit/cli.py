@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from . import __version__, repro
-from .artifacts import write_json, write_table
+from .artifacts import read_json, write_json, write_table
 from .audio_io import AudioBuffer, load_at_rate, read_wav, write_wav
 from .config import CliConfig, load_config, value_type
 from .corpus import generate_corpus, labels_sidecar_path
-from .errors import IoFailure, LengthMismatch, VadKitError
+from .errors import LengthMismatch, VadKitError
 from .evaluate import (
+    LabeledClip,
     evaluate_clips,
     load_manifest,
     report_to_dict,
@@ -51,7 +51,23 @@ def _effective_config(args, base: CliConfig = CliConfig()) -> CliConfig:
     return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
+_INPUT_ARGS = ("input", "speech", "ambient", "manifest", "config", "speech_labels")
+
+
+def _refuse_overwrites(args, *outputs) -> None:
+    """Raise before anything is written if an output resolves to an input or to another output."""
+    inputs = filter(None, (getattr(args, name, None) for name in _INPUT_ARGS))
+    seen = {os.path.realpath(path): f"input {path}" for path in inputs}
+    for path in filter(None, outputs):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise VadKitError(f"output {path} is the same file as the {seen[real]}")
+        seen[real] = f"output {path}"
+
+
 def cmd_detect(args) -> int:
+    out = args.out or os.path.splitext(args.input)[0] + ".vad.json"
+    _refuse_overwrites(args, out, args.frames_csv)
     config = _effective_config(args)
     buffer = load_at_rate(args.input, config.sample_rate_hz)
     cascade = design_butterworth_bandpass(config.filter_spec())
@@ -60,7 +76,6 @@ def cmd_detect(args) -> int:
     payload = result_to_dict(result)
     payload["effective_config"] = config.to_dict()
     payload["input_path"] = args.input
-    out = args.out or os.path.splitext(args.input)[0] + ".vad.json"
     write_json(payload, out)
     if args.frames_csv:
         frames_to_csv(result, args.frames_csv)
@@ -77,16 +92,16 @@ def _speech_labels_for(path: str, override: str | None, duration_s: float):
     labels = override or labels_sidecar_path(path)
     if not override and not os.path.exists(labels):
         return [(0.0, duration_s)]
-    try:
-        with open(labels) as fh:
-            return [(start, end) for start, end in json.load(fh)["speech_intervals"]]
-    except OSError as exc:
-        raise IoFailure(f"cannot read speech labels {labels}: {exc}") from exc
+    raw = read_json(labels, "speech labels")
+    try:  # the manifest's interval rules; an error names the labels file
+        return LabeledClip(labels, tuple(raw["speech_intervals"])).speech_intervals
     except (KeyError, TypeError, ValueError) as exc:
         raise VadKitError(f"speech labels {labels} are malformed: {exc!r}") from exc
 
 
 def cmd_mix(args) -> int:
+    sidecar_path = os.path.splitext(args.out)[0] + ".mix.json"
+    _refuse_overwrites(args, args.out, sidecar_path)
     config = _effective_config(args)
     speech, _ = read_wav(args.speech)
     labels = _speech_labels_for(args.speech, args.speech_labels, speech.duration_s)
@@ -116,16 +131,17 @@ def cmd_mix(args) -> int:
         "speech_intervals": [list(iv) for iv in labels],
         "effective_config": config.to_dict(),
     }
-    write_json(sidecar, os.path.splitext(args.out)[0] + ".mix.json")
+    write_json(sidecar, sidecar_path)
     print(f"wrote {args.out} ({mixed.duration_s:.3f} s, ambient gain {spec.ambient_gain:.6f})")
     return 0
 
 
 def cmd_spectrogram(args) -> int:
+    out = args.out or os.path.splitext(args.input)[0] + ".spec." + args.format
+    _refuse_overwrites(args, out)
     config = _effective_config(args)
     buffer = load_at_rate(args.input, config.sample_rate_hz)
     matrix = spectrogram(buffer, fft_size=config.fft_size, hop_samples=config.spectrogram_hop)
-    out = args.out or os.path.splitext(args.input)[0] + ".spec." + args.format
     if args.format == "json":
         payload = to_json_dict(matrix)
         payload["effective_config"] = config.to_dict()
@@ -139,6 +155,8 @@ def cmd_spectrogram(args) -> int:
 
 
 def cmd_filter_dump(args) -> int:
+    csv_path = args.response_csv or os.path.splitext(args.out)[0] + ".response.csv"
+    _refuse_overwrites(args, args.out, csv_path)
     config = _effective_config(args)
     cascade = design_butterworth_bandpass(config.filter_spec())
     payload = cascade_to_dict(cascade)
@@ -149,13 +167,13 @@ def cmd_filter_dump(args) -> int:
     freqs = np.linspace(0.0, nyquist, 801)
     freqs = np.unique(np.concatenate([freqs, [config.low_cutoff_hz, config.high_cutoff_hz]]))
     mags = response_sweep(cascade, freqs)
-    csv_path = args.response_csv or os.path.splitext(args.out)[0] + ".response.csv"
     write_table(csv_path, {"freq_hz": freqs, "magnitude_db": mags}, "\n")
     print(f"wrote {args.out} ({len(cascade.sections)} sections) and {csv_path}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    _refuse_overwrites(args, args.out)
     config = _effective_config(args)
     clips = load_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
@@ -193,6 +211,7 @@ def _grid_point_dict(point) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    _refuse_overwrites(args, args.out, args.csv)
     config = _effective_config(args)
     clips = load_manifest(args.manifest)
     cascade = design_butterworth_bandpass(config.filter_spec())

@@ -13,11 +13,11 @@ effective values are echoed into output artifacts.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
-from .errors import BadConfig
+from .artifacts import read_json
+from .errors import BadConfig, VadKitError
 from .filters import FilterSpec
 from .vad import VadConfig
 
@@ -92,12 +92,9 @@ def _parse_value(field: dataclasses.Field, value):
 def load_config(path, base: CliConfig = CliConfig()) -> CliConfig:
     """Read a flat JSON object of config keys over `base`; unknown keys are rejected."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise BadConfig(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
-        raise BadConfig(f"config {path} is not valid JSON: {exc}") from exc
+        raw = read_json(path, "config")
+    except VadKitError as exc:
+        raise BadConfig(str(exc)) from exc
     if not isinstance(raw, dict):
         raise BadConfig(f"config {path} must hold a JSON object")
     fields = {field.name: field for field in dataclasses.fields(CliConfig)}

@@ -62,7 +62,7 @@ class LabelOutOfRange(VadKitError):
 
 
 class SweepFailure(VadKitError):
-    """A grid point failed; carries the (window, threshold) that caused it."""
+    """A sweep grid is empty, or a grid value cannot form a detector config."""
 
 
 class BadConfig(VadKitError):

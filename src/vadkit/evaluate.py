@@ -8,16 +8,16 @@ across clips; derived rates fall back to 0.0 when their denominator is 0.
 from __future__ import annotations
 
 import dataclasses
-import json
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_json, write_table
-from .audio_io import AudioBuffer, load_at_rate
-from .errors import IoFailure, LabelOutOfRange, SweepFailure, VadKitError
+from .artifacts import read_json, write_json, write_table
+from .audio_io import load_at_rate
+from .errors import LabelOutOfRange, SweepFailure, VadKitError
 from .filters import BiquadCascade, apply_cascade
 from .vad import VadConfig, VadResult, config_to_dict, detect_prefiltered
 
@@ -36,7 +36,7 @@ class LabeledClip:
         )
         prev_end = None
         for start, end in self.speech_intervals:
-            if start < 0 or end <= start:
+            if not 0 <= start < end < np.inf:  # also refuses NaN and infinity
                 raise LabelOutOfRange(f"bad interval ({start}, {end}) in {self.audio_path}")
             if prev_end is not None and start < prev_end:
                 raise LabelOutOfRange(f"overlapping intervals in {self.audio_path}")
@@ -138,13 +138,7 @@ def load_manifest(path) -> list[LabeledClip]:
     Relative audio paths resolve against the manifest. An unreadable file,
     bad JSON, an empty list or a malformed entry raises VadKitError.
     """
-    try:
-        with open(path) as fh:
-            entries = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
-    except ValueError as exc:
-        raise VadKitError(f"manifest {path} is not valid JSON: {exc}") from exc
+    entries = read_json(path, "manifest")
     if not isinstance(entries, list) or not entries:
         raise VadKitError(f"manifest {path} must hold a non-empty JSON list")
     base = os.path.dirname(os.path.abspath(path))
@@ -181,12 +175,23 @@ def _parallel_map(fn, args: list[tuple], jobs: int) -> list:
     return [fn(*a) for a in args]
 
 
-def _load_filtered(clip: LabeledClip, cascade: BiquadCascade) -> AudioBuffer:
-    return apply_cascade(cascade, load_at_rate(clip.audio_path, cascade.spec.sample_rate_hz))
+def _clip_counts(clip: LabeledClip, cascade: BiquadCascade, configs, thresholds_db) -> np.ndarray:
+    """Confusion counts of one clip, shape (config, 4, threshold).
 
-
-def _eval_one_clip(clip: LabeledClip, cascade: BiquadCascade, config: VadConfig) -> EvalReport:
-    return score(detect_prefiltered(_load_filtered(clip, cascade), config), clip)
+    The clip is read, resampled and bandpassed once; the detector runs once
+    per config, and every threshold is scored from that run's SNR column.
+    A failure in detection or scoring names the clip and the window.
+    """
+    buffer = apply_cascade(cascade, load_at_rate(clip.audio_path, cascade.spec.sample_rate_hz))
+    thresholds = np.array(thresholds_db)[:, None]
+    counts = []
+    for config in configs:
+        try:
+            result = detect_prefiltered(buffer, config)
+            counts.append(_confusion_counts(result.frames.snr_db >= thresholds, truth_frame_flags(result, clip)))
+        except VadKitError as exc:
+            raise type(exc)(f"clip {clip.audio_path}, window {config.window_length_s} s: {exc}") from exc
+    return np.array(counts)
 
 
 def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int = 1):
@@ -195,7 +200,9 @@ def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int =
     Returns (aggregate report, list of (clip, per-clip report)). Results are
     ordered by the input clip list regardless of job count.
     """
-    reports = _parallel_map(_eval_one_clip, [(clip, cascade, config) for clip in clips], jobs)
+    args = [(clip, cascade, [config], [config.snr_threshold_db]) for clip in clips]
+    counts = _parallel_map(_clip_counts, args, jobs)
+    reports = [EvalReport.from_counts(*clip_counts[0, :, 0].tolist(), config) for clip_counts in counts]
     return combine_reports(reports, config), list(zip(clips, reports))
 
 
@@ -209,11 +216,10 @@ def sweep(
 ) -> SweepResult:
     """Grid search over window length and SNR threshold.
 
-    Each clip is read and bandpassed once (over `jobs` processes), and the
-    detector runs once per (clip, window): only the final comparison depends
-    on the threshold, so every threshold is scored from that run's SNR
-    column. Best point maximizes F1, ties broken by lower threshold, then
-    shorter window.
+    Every grid value is checked first. Each clip is then scored in one
+    `_clip_counts` call (over `jobs` processes), which runs the detector once
+    per window and scores every threshold. Best point maximizes F1, ties
+    broken by lower threshold, then shorter window.
     """
     windows_s = [float(w) for w in windows_s]
     thresholds_db = [float(t) for t in thresholds_db]
@@ -221,35 +227,19 @@ def sweep(
         raise SweepFailure("sweep needs at least one clip, window, and threshold")
     if base_config is None:
         base_config = VadConfig()
-    filtered = _parallel_map(_load_filtered, [(clip, cascade) for clip in clips], jobs)
-    thresholds = np.array(thresholds_db)[:, None]
-
-    grid = []
-    for window_s in windows_s:
-        counts = np.zeros((4, len(thresholds_db)), dtype=np.int64)
+    points = []
+    for window_s, threshold_db in itertools.product(windows_s, thresholds_db):
+        values = {"window_length_s": window_s, "snr_threshold_db": threshold_db, "hop_length_s": None}
         try:
-            config = dataclasses.replace(
-                base_config,
-                window_length_s=window_s,
-                snr_threshold_db=thresholds_db[0],
-                hop_length_s=None,
-            )
-            for buffer, clip in zip(filtered, clips):
-                result = detect_prefiltered(buffer, config)
-                predicted = result.frames.snr_db >= thresholds
-                counts += _confusion_counts(predicted, truth_frame_flags(result, clip))
+            points.append(dataclasses.replace(base_config, **values))
         except VadKitError as exc:
-            # No check in detection or scoring depends on the threshold, so a
-            # failure names the first one, as it would point by point.
-            raise SweepFailure(
-                f"grid point (window={window_s}, threshold={thresholds_db[0]}): {exc}"
-            ) from exc
-        for threshold_db, point_counts in zip(thresholds_db, counts.T.tolist()):
-            report = EvalReport.from_counts(
-                *point_counts, dataclasses.replace(config, snr_threshold_db=threshold_db)
-            )
-            grid.append(GridPoint(window_s=window_s, threshold_db=threshold_db, report=report))
-    grid = tuple(grid)
+            raise SweepFailure(f"grid point (window={window_s}, threshold={threshold_db}): {exc}") from exc
+    args = [(clip, cascade, points[:: len(thresholds_db)], thresholds_db) for clip in clips]
+    counts = sum(_parallel_map(_clip_counts, args, jobs))  # (window, 4, threshold)
+    grid = tuple(
+        GridPoint(config.window_length_s, config.snr_threshold_db, EvalReport.from_counts(*point_counts, config))
+        for config, point_counts in zip(points, counts.transpose(0, 2, 1).reshape(-1, 4).tolist())
+    )
     best = min(grid, key=lambda g: (-g.report.f1, g.threshold_db, g.window_s))
     return SweepResult(grid=grid, best=best)
 

@@ -86,6 +86,15 @@ def design_butterworth_bandpass(spec: FilterSpec) -> BiquadCascade:
     w2 = 2.0 * fs * math.tan(math.pi * spec.high_cutoff_hz / fs)
     w0_sq = w1 * w2
     bw = w2 - w1
+    c = 2.0 * fs
+
+    # The gain's numerator, checked before any array of order/2 elements exists.
+    try:
+        gain_scale = bw**n_proto * c**n_proto
+    except OverflowError:
+        gain_scale = math.inf
+    if not math.isfinite(gain_scale):
+        raise InvalidSpec(f"order {spec.order} is too high for a finite design at {spec.sample_rate_hz} Hz")
 
     # Analog lowpass prototype poles on the unit circle, left half plane.
     k = np.arange(n_proto)
@@ -96,13 +105,12 @@ def design_butterworth_bandpass(spec: FilterSpec) -> BiquadCascade:
     half = proto * (bw / 2.0)
     disc = np.sqrt(half * half - w0_sq)
     analog_poles = np.concatenate([half + disc, half - disc])
-    analog_gain = bw**n_proto
 
     # Bilinear transform of poles; analog zeros at 0 map to z = +1 and the
     # degree deficit adds the matching zeros at z = -1.
-    c = 2.0 * fs
     digital_poles = (c + analog_poles) / (c - analog_poles)
-    gain = float((analog_gain * c**n_proto / np.prod(c - analog_poles)).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite gain is refused below
+        gain = float((gain_scale / np.prod(c - analog_poles)).real)
 
     worst = float(np.max(np.abs(digital_poles)))
     if worst >= 1.0 - _STABILITY_MARGIN:
@@ -119,7 +127,10 @@ def design_butterworth_bandpass(spec: FilterSpec) -> BiquadCascade:
         sections.append(
             BiquadSection(b0=section_gain, b1=0.0, b2=-section_gain, a1=a1, a2=a2)
         )
-    return BiquadCascade(sections=tuple(sections), spec=spec)
+    cascade = BiquadCascade(sections=tuple(sections), spec=spec)
+    if not all(np.isfinite(coefficients).all() for coefficients in cascade.coefficient_arrays()):
+        raise InvalidSpec(f"order {spec.order} gives non-finite coefficients at {spec.sample_rate_hz} Hz")
+    return cascade
 
 
 def _conjugate_pairs(poles: np.ndarray) -> list[tuple[complex, complex]]:

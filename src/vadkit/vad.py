@@ -96,10 +96,14 @@ def frame_energy_db(frame: np.ndarray, energy_floor: float = VadConfig.energy_fl
 
 
 def _frame_energies_db(frames: np.ndarray, energy_floor: float) -> np.ndarray:
-    # The row means are one array pass; the log stays scalar, because
-    # np.log10 can differ from math.log10 by one ulp.
-    powers = np.mean(np.square(frames), axis=1).tolist()
-    return np.array([10.0 * math.log10(max(power, energy_floor)) for power in powers])
+    # Rows are squared in blocks of at most 32 KiB, under glibc's 64 KiB
+    # threshold for trimming the heap on free: a clip-sized temporary, freed
+    # at the top of the heap, is handed back to the system and faulted in
+    # again by the next detection. The log stays scalar, because np.log10
+    # can differ from math.log10 by one ulp.
+    rows = max(1, 32768 // (frames.itemsize * frames.shape[1]))
+    blocks = (np.mean(np.square(frames[i : i + rows]), axis=1).tolist() for i in range(0, len(frames), rows))
+    return np.array([10.0 * math.log10(max(power, energy_floor)) for block in blocks for power in block])
 
 
 def estimate_noise_floor_db(energies_db: np.ndarray, config: VadConfig) -> float:

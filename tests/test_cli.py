@@ -196,6 +196,19 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         (_DETECT_CONFIG, '{"sample_rate_hz": 16000.7}', "sample_rate_hz"),
         (_DETECT_CONFIG, '{"energy_floor": NaN}', "energy_floor"),
         (_DETECT_CONFIG, '{"energy_floor": Infinity}', "energy_floor"),
+        (_MIX, '{"speech_intervals": [[2.0, 1.0]]}', "bad.json"),
+        (_MIX, '{"speech_intervals": [[0.5, "x"]]}', "bad.json"),
+        (_MIX, '{"speech_intervals": [[-1.0, 0.5]]}', "bad.json"),
+        (_MIX, '{"speech_intervals": [[NaN, 0.5]]}', "bad.json"),
+        (_MIX, '{"speech_intervals": [[0.5, 1e400]]}', "bad.json"),
+        (["eval", "--manifest", "bad.json"], '[{"audio_path": "z.wav", "speech_intervals": [[NaN, 0.5]]}]', "nan"),
+        (_SWEEP + ["bad.json"], '[{"audio_path": "z.wav", "speech_intervals": [[0.0, 9.0]]}]',
+         "z.wav, window 0.31 s: interval (0.0, 9.0) runs past the clip end"),
+        (["detect", "z.wav", "--order", "68"], None, "order 68"),
+        (["filter-dump", "--sample-rate", "44100", "--order", "64"], None, "order 64"),
+        (["filter-dump", "--order", "200"], None, "order 200"),
+        # Refused from two scalar powers, before any array of order/2 elements.
+        (["filter-dump", "--order", "100000000"], None, "order 100000000"),
     ],
     ids=[
         "eval-missing-manifest",
@@ -222,6 +235,17 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         "config-rate-not-integral",
         "config-energy-floor-nan",
         "config-energy-floor-inf",
+        "mix-labels-reversed-interval",
+        "mix-labels-text-bound",
+        "mix-labels-negative-start",
+        "mix-labels-nan-start",
+        "mix-labels-infinite-end",
+        "eval-nan-interval",
+        "sweep-labels-past-clip-end",
+        "detect-order-68-non-finite",
+        "filter-dump-order-64-at-44k-non-finite",
+        "filter-dump-order-200-overflows",
+        "filter-dump-order-1e8-overflows",
     ],
 )
 def test_bad_input_exits_2(argv, bad_file, field, capsys, chdir_tmp):
@@ -263,6 +287,59 @@ def test_unwritable_output_exits_2(argv, path, capsys, chdir_tmp):
     assert _run(argv) == 2
     err = capsys.readouterr().err
     assert f"error: cannot write {path}: " in err.splitlines()[0]
+
+
+_SWEEP_M = ["sweep", "--manifest", "m.json", "--windows", "0.31", "--thresholds", "12"]
+_MIX_Z = ["mix", "z.wav", "z.wav", "--gain", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["detect", "z.wav", "--out", "z.wav"], "z.wav"),
+        (["detect", "z.wav", "--config", "cfg.json", "--out", "cfg.json"], "cfg.json"),
+        (["detect", "z.wav", "--out", "d.json", "--frames-csv", "./d.json"], "./d.json"),
+        (["detect", "z.wav", "--frames-csv", "z.vad.json"], "z.vad.json"),
+        (["spectrogram", "z.wav", "--out", "z.wav"], "z.wav"),
+        (["filter-dump", "--out", "f.json", "--response-csv", "f.json"], "f.json"),
+        (["filter-dump", "--config", "f.response.csv", "--out", "f.json"], "f.response.csv"),
+        (_MIX_Z + ["--out", "z.wav"], "z.wav"),
+        (_MIX_Z + ["--speech-labels", "l.mix.json", "--out", "l.wav"], "l.mix.json"),
+        (["eval", "--manifest", "m.json", "--out", "m.json"], "m.json"),
+        (_SWEEP_M + ["--out", "m.json"], "m.json"),
+        (_SWEEP_M + ["--out", "s.json", "--csv", "s.json"], "s.json"),
+    ],
+    ids=[
+        "detect-out-is-input", "detect-out-is-config", "detect-frames-csv-is-out",
+        "detect-frames-csv-is-default-out", "spectrogram-out-is-input", "filter-dump-csv-is-out",
+        "filter-dump-default-csv-is-config", "mix-out-is-input", "mix-sidecar-is-labels",
+        "eval-out-is-manifest", "sweep-out-is-manifest", "sweep-csv-is-out",
+    ],
+)
+def test_output_naming_an_input_or_output_exits_2(argv, path, capsys, chdir_tmp):
+    write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
+    (chdir_tmp / "cfg.json").write_text('{"threshold_db": 12}')
+    (chdir_tmp / "f.response.csv").write_text('{"filter_order": 4}')
+    (chdir_tmp / "l.mix.json").write_text('{"speech_intervals": [[0.1, 0.5]]}')
+    (chdir_tmp / "m.json").write_text('[{"audio_path": "z.wav", "speech_intervals": []}]')
+    before = {p.name: p.read_bytes() for p in chdir_tmp.iterdir()}
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: output {path} is the same file as the ")
+    assert {p.name: p.read_bytes() for p in chdir_tmp.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval"], ["sweep", "--windows", "0.31,0.62", "--thresholds", "12"]], ids=["eval", "sweep"]
+)
+def test_empty_clip_is_named(argv, capsys, chdir_tmp):
+    write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
+    write_wav(AudioBuffer(np.zeros(0), 16000), chdir_tmp / "e.wav")
+    (chdir_tmp / "m.json").write_text(
+        '[{"audio_path": "z.wav", "speech_intervals": []}, {"audio_path": "e.wav", "speech_intervals": []}]'
+    )
+    assert _run(argv + ["--manifest", "m.json", "--out", "o.json"]) == 2
+    assert "e.wav, window 0.31 s: cannot frame an empty signal" in capsys.readouterr().err
+    assert not (chdir_tmp / "o.json").exists()
 
 
 def test_mix_solves_the_gain_once(cli_corpus, tmp_path, monkeypatch):

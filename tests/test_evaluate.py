@@ -1,5 +1,6 @@
 """Scoring rules, report arithmetic, manifests, and the sweep harness."""
 
+import collections
 import itertools
 import json
 
@@ -243,6 +244,25 @@ def test_evaluate_clips_parallel_matches_serial(corpus_dir):
     assert per1 == per2
     total_frames = sum(r.tp + r.fp + r.tn + r.fn for _, r in per1)
     assert agg1.tp + agg1.fp + agg1.tn + agg1.fn == total_frames
+
+
+def test_each_clip_is_filtered_once_and_detected_once_per_window(corpus_dir, monkeypatch):
+    from vadkit import evaluate
+
+    clips, cascade = _sweep_fixture(corpus_dir)
+    calls = collections.Counter()
+    for name in ("apply_cascade", "detect_prefiltered"):
+
+        def counted(*args, _name=name, _original=getattr(evaluate, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(evaluate, name, counted)
+    sweep(clips[:3], [0.155, 0.31], [6.0, 12.0, 20.0], cascade)
+    assert calls == {"apply_cascade": 3, "detect_prefiltered": 6}
+    calls.clear()
+    evaluate_clips(clips[:3], cascade, VadConfig())
+    assert calls == {"apply_cascade": 3, "detect_prefiltered": 3}
 
 
 def test_sweep_csv_format(corpus_dir, tmp_path):

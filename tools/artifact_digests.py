@@ -36,6 +36,12 @@ COMMANDS = [
     ("sweep", ["sweep", "--manifest", _MANIFEST, "--windows", "0.155,0.31",
                "--thresholds", "6,12,20", "--out", "sweep.json", "--csv", "sweep.csv"]),
     ("eval", ["eval", "--manifest", _MANIFEST, "--threshold", "12", "--out", "eval.json"]),
+    ("eval-jobs2-w20-h10", ["eval", "--manifest", _MANIFEST, "--jobs", "2", "--window", "0.02", "--hop", "0.01",
+                            "--threshold", "9", "--out", "eval_jobs2.json"]),
+    ("sweep-jobs2-bench-grid", ["sweep", "--manifest", _MANIFEST, "--jobs", "2",
+                                "--windows", "0.02,0.05,0.155,0.31,0.62",
+                                "--thresholds", ",".join(str(t) for t in range(3, 31)),
+                                "--out", "sweep_jobs2.json", "--csv", "sweep_jobs2.csv"]),
     ("filter-dump", ["filter-dump", "--out", "filter.json"]),
     ("spectrogram-json", ["spectrogram", "corpus/speech_a.wav", "--format", "json", "--out", "spec.json"]),
     ("spectrogram-csv", ["spectrogram", "corpus/speech_a.wav", "--format", "csv", "--out", "spec.csv"]),
