@@ -5,7 +5,9 @@ module. A path that cannot be read or written raises IoFailure (exit code 2).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
+import math
 import os
 
 from .errors import IoFailure, VadKitError
@@ -33,6 +35,27 @@ def read_json(path, what: str):
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise VadKitError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def json_number(value) -> float:
+    """A JSON number (not a bool) as a finite float; ValueError says why value is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("too large") from None
+    if not math.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
+def field_dict(record, **overrides) -> dict:
+    """A dataclass record's fields by name, in declaration order; overrides replace values by name.
+
+    Values are not copied: a deep copy of each takes about four times as long on a sweep grid.
+    """
+    return {f.name: overrides.get(f.name, getattr(record, f.name)) for f in dataclasses.fields(record)}
 
 
 def make_output_dir(path) -> None:

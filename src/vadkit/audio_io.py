@@ -31,6 +31,7 @@ _FORMAT_PCM = 1
 _FORMAT_FLOAT = 3
 
 _KAISER_BETA = 8.6
+_MAX_POLYPHASE_COEFFICIENTS = 2**24  # 128 MiB of float64; 44101 -> 16000 Hz needs 1,024,000
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +203,8 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
 
     Kaiser window (beta 8.6), 64 taps per phase, cutoff at the lower of the
     two Nyquist frequencies. Output length is ceil(n * target / source) so
-    duration is preserved to within one output sample period.
+    duration is preserved to within one output sample period. A rate pair
+    whose table of up x 64 taps would exceed 2**24 raises InvalidSpec.
     """
     if target_rate_hz <= 0:
         raise InvalidRate(f"target rate must be positive, got {target_rate_hz}")
@@ -215,6 +217,11 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     g = math.gcd(source_rate, target_rate_hz)
     up = target_rate_hz // g
     down = source_rate // g
+    if up * _kernels.RESAMPLER_TAPS > _MAX_POLYPHASE_COEFFICIENTS:
+        raise InvalidSpec(
+            f"cannot resample {source_rate} Hz to {target_rate_hz} Hz: the polyphase table would hold "
+            f"{up * _kernels.RESAMPLER_TAPS} coefficients, over the limit of {_MAX_POLYPHASE_COEFFICIENTS}"
+        )
     phase_taps = _design_polyphase(up, source_rate, target_rate_hz)
 
     pad = _kernels.RESAMPLER_PAD

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__, repro
-from .artifacts import read_json, write_json, write_table
+from .artifacts import field_dict, read_json, write_json, write_table
 from .audio_io import AudioBuffer, load_at_rate, read_wav, write_wav
 from .config import CliConfig, load_config, value_type
 from .corpus import generate_corpus, labels_sidecar_path
@@ -207,7 +207,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _grid_point_dict(point) -> dict:
-    return {"window_s": point.window_s, "threshold_db": point.threshold_db, "report": report_to_dict(point.report)}
+    return field_dict(point, report=report_to_dict(point.report))
 
 
 def cmd_sweep(args) -> int:

@@ -13,10 +13,9 @@ effective values are echoed into output artifacts.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
-from .artifacts import read_json
+from .artifacts import field_dict, json_number, read_json
 from .errors import BadConfig, VadKitError
 from .filters import FilterSpec
 from .vad import VadConfig
@@ -60,9 +59,7 @@ class CliConfig:
         )
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["hop_s"] = self.window_s if self.hop_s is None else self.hop_s
-        return d
+        return field_dict(self, hop_s=self.window_s if self.hop_s is None else self.hop_s)
 
 
 def value_type(field: dataclasses.Field) -> type:
@@ -74,14 +71,7 @@ def _parse_value(field: dataclasses.Field, value):
     """The JSON value as the field's type; ValueError says why it is not one."""
     if value is None and field.default is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("expected a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError("too large") from None
-    if not math.isfinite(number):
-        raise ValueError("must be finite")
+    number = json_number(value)
     if value_type(field) is float:
         return number
     if not number.is_integer():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json, write_table
+from .artifacts import field_dict, json_number, read_json, write_json, write_table
 from .audio_io import load_at_rate
 from .errors import LabelOutOfRange, SweepFailure, VadKitError
 from .filters import BiquadCascade, apply_cascade
@@ -29,26 +29,22 @@ class LabeledClip:
     source_note: str = ""
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "speech_intervals",
-            tuple((float(s), float(e)) for s, e in self.speech_intervals),
-        )
-        prev_end = None
+        intervals = []
         for start, end in self.speech_intervals:
-            if not 0 <= start < end < np.inf:  # also refuses NaN and infinity
+            try:  # the config file's number rule: no booleans, strings, NaN or infinity
+                start, end = json_number(start), json_number(end)
+            except ValueError as exc:
+                raise LabelOutOfRange(f"bad interval ({start!r}, {end!r}) in {self.audio_path}: {exc}") from None
+            if not 0 <= start < end:
                 raise LabelOutOfRange(f"bad interval ({start}, {end}) in {self.audio_path}")
-            if prev_end is not None and start < prev_end:
+            if intervals and start < intervals[-1][1]:
                 raise LabelOutOfRange(f"overlapping intervals in {self.audio_path}")
-            prev_end = end
+            intervals.append((start, end))
+        object.__setattr__(self, "speech_intervals", tuple(intervals))
 
     def to_dict(self, audio_path: str) -> dict:
         """The clip as a manifest entry or a labels sidecar, its audio named audio_path."""
-        return {
-            "audio_path": audio_path,
-            "speech_intervals": [[s, e] for s, e in self.speech_intervals],
-            "source_note": self.source_note,
-        }
+        return field_dict(self, audio_path=audio_path)
 
 
 @dataclass(frozen=True)
@@ -169,8 +165,8 @@ def _parallel_map(fn, args: list[tuple], jobs: int) -> list:
     """[fn(*a) for a in args], over a process pool when jobs > 1; order kept."""
     if jobs < 1:
         raise VadKitError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1 and len(args) > 1:  # fork starts every worker at the first submit: one per item at most
+        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
             return list(pool.map(fn, *zip(*args)))
     return [fn(*a) for a in args]
 
@@ -245,25 +241,15 @@ def sweep(
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "tp": report.tp,
-        "fp": report.fp,
-        "tn": report.tn,
-        "fn": report.fn,
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "config": config_to_dict(report.config),
-    }
+    return field_dict(report, config=config_to_dict(report.config))
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:
-    """One CSV row per grid point, CRLF line ends."""
+    """One CSV row per grid point: its scalar fields, then its report's; CRLF line ends."""
+    rows = [{**field_dict(p), **field_dict(p.report)} for p in result.grid]
     columns = {
-        "window_s": [p.window_s for p in result.grid],
-        "threshold_db": [p.threshold_db for p in result.grid],
+        name: np.array([row[name] for row in rows])
+        for name, value in rows[0].items()
+        if not dataclasses.is_dataclass(value)
     }
-    for name in ("tp", "fp", "tn", "fn", "accuracy", "precision", "recall", "f1"):
-        columns[name] = [getattr(p.report, name) for p in result.grid]
-    write_table(path, {name: np.array(values) for name, values in columns.items()}, "\r\n")
+    write_table(path, columns, "\r\n")

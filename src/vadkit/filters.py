@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .artifacts import field_dict
 from .audio_io import AudioBuffer
 from .errors import InvalidSpec, RateMismatch
 
@@ -63,8 +64,8 @@ class BiquadSection:
 
 @dataclass(frozen=True)
 class BiquadCascade:
-    sections: tuple[BiquadSection, ...]
     spec: FilterSpec
+    sections: tuple[BiquadSection, ...]
 
     def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         b = np.array([[s.b0, s.b1, s.b2] for s in self.sections])
@@ -175,15 +176,4 @@ def apply_cascade(cascade: BiquadCascade, buffer: AudioBuffer) -> AudioBuffer:
 
 
 def cascade_to_dict(cascade: BiquadCascade) -> dict:
-    return {
-        "spec": {
-            "order": cascade.spec.order,
-            "low_cutoff_hz": cascade.spec.low_cutoff_hz,
-            "high_cutoff_hz": cascade.spec.high_cutoff_hz,
-            "sample_rate_hz": cascade.spec.sample_rate_hz,
-        },
-        "sections": [
-            {"b0": s.b0, "b1": s.b1, "b2": s.b2, "a1": s.a1, "a2": s.a2}
-            for s in cascade.sections
-        ],
-    }
+    return field_dict(cascade, spec=field_dict(cascade.spec), sections=[field_dict(s) for s in cascade.sections])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_table
+from .artifacts import field_dict, write_table
 from .audio_io import AudioBuffer, frame_samples
 from .errors import EmptySignal, InvalidSpec, NoFrames
 from .filters import BiquadCascade, apply_cascade
@@ -166,13 +166,7 @@ def detect(buffer: AudioBuffer, cascade: BiquadCascade, config: VadConfig) -> Va
 
 
 def config_to_dict(config: VadConfig) -> dict:
-    return {
-        "window_length_s": config.window_length_s,
-        "snr_threshold_db": config.snr_threshold_db,
-        "hop_length_s": config.hop_s,
-        "noise_percentile": config.noise_percentile,
-        "energy_floor": config.energy_floor,
-    }
+    return field_dict(config, hop_length_s=config.hop_s)
 
 
 def result_to_dict(result: VadResult) -> dict:

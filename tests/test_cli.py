@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, artifact schemas, config precedence, determinism."""
 
+import dataclasses
 import filecmp
 import json
 import os
@@ -10,8 +11,11 @@ import numpy as np
 import pytest
 
 from vadkit import AudioBuffer, LabeledClip, read_wav, score, write_wav
-from vadkit.cli import main
-from vadkit.vad import FRAME_DTYPE, VadConfig, VadResult
+from vadkit.cli import _grid_point_dict, main
+from vadkit.config import CliConfig
+from vadkit.evaluate import EvalReport, GridPoint, SweepResult, report_to_dict, sweep_to_csv
+from vadkit.filters import BiquadCascade, BiquadSection, FilterSpec, cascade_to_dict, design_butterworth_bandpass
+from vadkit.vad import FRAME_DTYPE, VadConfig, VadResult, config_to_dict
 
 
 @pytest.fixture()
@@ -209,6 +213,14 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         (["filter-dump", "--order", "200"], None, "order 200"),
         # Refused from two scalar powers, before any array of order/2 elements.
         (["filter-dump", "--order", "100000000"], None, "order 100000000"),
+        (["eval", "--manifest", "bad.json"], '[{"audio_path": "z.wav", "speech_intervals": [[false, true]]}]',
+         "(False, True)"),
+        (["eval", "--manifest", "bad.json"], '[{"audio_path": "z.wav", "speech_intervals": [["0.5", "1.5"]]}]',
+         "('0.5', '1.5')"),
+        (_MIX, '{"speech_intervals": [[false, true]]}', "bad.json: expected a number"),
+        (_MIX, '{"speech_intervals": [["0.5", "1.5"]]}', "bad.json: expected a number"),
+        # Refused from the rate pair, before the 2**31-phase table is allocated.
+        (["detect", "z.wav", "--sample-rate", "2147483647"], None, "16000 Hz to 2147483647 Hz"),
     ],
     ids=[
         "eval-missing-manifest",
@@ -246,6 +258,11 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         "filter-dump-order-64-at-44k-non-finite",
         "filter-dump-order-200-overflows",
         "filter-dump-order-1e8-overflows",
+        "eval-boolean-interval",
+        "eval-string-interval",
+        "mix-labels-boolean-interval",
+        "mix-labels-string-interval",
+        "detect-resample-table-too-large",
     ],
 )
 def test_bad_input_exits_2(argv, bad_file, field, capsys, chdir_tmp):
@@ -340,6 +357,33 @@ def test_empty_clip_is_named(argv, capsys, chdir_tmp):
     assert _run(argv + ["--manifest", "m.json", "--out", "o.json"]) == 2
     assert "e.wav, window 0.31 s: cannot frame an empty signal" in capsys.readouterr().err
     assert not (chdir_tmp / "o.json").exists()
+
+
+def _field_names(cls) -> list:
+    return [field.name for field in dataclasses.fields(cls)]
+
+
+def test_artifact_dicts_follow_the_dataclass_fields(tmp_path):
+    config = VadConfig(window_length_s=0.2)
+    report = EvalReport.from_counts(1, 2, 3, 4, config)
+    point = GridPoint(0.2, 12.0, report)
+    cascade = design_butterworth_bandpass(FilterSpec())
+    assert list(config_to_dict(config).items()) == list({**vars(config), "hop_length_s": 0.2}.items())
+    assert list(report_to_dict(report)) == _field_names(EvalReport)
+    assert list(_grid_point_dict(point)) == _field_names(GridPoint)
+    d = cascade_to_dict(cascade)
+    assert list(d) == _field_names(BiquadCascade)
+    assert list(d["spec"]) == _field_names(FilterSpec)
+    assert [list(s) for s in d["sections"]] == [_field_names(BiquadSection)] * 2
+    clip = LabeledClip("a/b.wav", ((0.5, 1.5),), "note")
+    assert list(clip.to_dict("b.wav").items()) == [
+        ("audio_path", "b.wav"), ("speech_intervals", ((0.5, 1.5),)), ("source_note", "note")
+    ]
+    assert list(CliConfig().to_dict()) == _field_names(CliConfig)
+    assert CliConfig().to_dict()["hop_s"] == CliConfig.window_s
+    sweep_to_csv(SweepResult((point,), point), tmp_path / "s.csv")
+    header = (tmp_path / "s.csv").read_text().splitlines()[0]
+    assert header.split(",") == _field_names(GridPoint)[:-1] + _field_names(EvalReport)[:-1]
 
 
 def test_mix_solves_the_gain_once(cli_corpus, tmp_path, monkeypatch):

@@ -102,6 +102,24 @@ def test_label_validation():
         LabeledClip("a.wav", ((0.0, 1.0), (0.5, 2.0)))  # overlap
 
 
+@pytest.mark.parametrize(
+    "bound, reason",
+    [
+        (False, "expected a number"),
+        (True, "expected a number"),
+        ("0.5", "expected a number"),
+        (None, "expected a number"),
+        (float("nan"), "must be finite"),
+        (float("inf"), "must be finite"),
+        (10**400, "too large"),
+    ],
+    ids=["false", "true", "string", "null", "nan", "inf", "int-beyond-float"],
+)
+def test_label_bounds_follow_the_json_number_rule(bound, reason):
+    with pytest.raises(LabelOutOfRange, match=f"bad interval .* in a.wav: {reason}"):
+        LabeledClip("a.wav", ((0.0, bound),))
+
+
 def test_label_past_clip_end():
     truth = _clip_for([(0.0, 100.0)])
     predicted = _result_from_flags([True] * 4)
@@ -272,3 +290,30 @@ def test_sweep_csv_format(corpus_dir, tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "window_s,threshold_db,tp,fp,tn,fn,accuracy,precision,recall,f1"
     assert len(lines) == 3
+
+
+def test_pool_starts_no_more_workers_than_clips(corpus_dir, monkeypatch):
+    from vadkit import evaluate
+
+    sizes = []
+
+    class SerialPool:  # records the pool size and maps in this process, so that no worker starts
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", SerialPool)
+    clips, cascade = _sweep_fixture(corpus_dir)
+    config = VadConfig(snr_threshold_db=9.0)
+    assert evaluate_clips(clips[:3], cascade, config, jobs=100000) == evaluate_clips(clips[:3], cascade, config)
+    sweep(clips[:2], [0.31], [6.0], cascade, jobs=5)
+    evaluate_clips(clips[:3], cascade, config, jobs=2)
+    assert sizes == [3, 2, 2]

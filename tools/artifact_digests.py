@@ -4,6 +4,8 @@ Runs each command through `vadkit.cli.main` inside a fresh temporary
 directory, with relative paths so that no artifact records where it ran.
 Prints one `sha256  relpath` line per file written, including one
 `stdout/NN-name.txt` file per command that holds its exit code and stdout.
+A 44.1 kHz corpus and a seeded stereo PCM16 file, written here with the
+stdlib `wave` module, take detect through the resampler and the downmix.
 Two checkouts write the same bytes when their outputs are identical:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > change.txt
@@ -19,11 +21,15 @@ import io
 import os
 import sys
 import tempfile
+import wave
+
+import numpy as np
 
 from vadkit.cli import main
 
 _CLIP = "corpus/mix_a_white_snr10.wav"
 _MANIFEST = "corpus/manifest.json"
+_STEREO = "stereo44.wav"
 
 COMMANDS = [
     ("gen-corpus", ["gen-corpus", "--out-dir", "corpus", "--seed", "0"]),
@@ -50,11 +56,31 @@ COMMANDS = [
              "--normalize-peak", "0.9", "--out", "mix.wav"]),
     ("repro-figures-seed0", ["repro-figures", "--out-dir", "figs0", "--seed", "0"]),
     ("repro-figures-seed3", ["repro-figures", "--out-dir", "figs3", "--seed", "3"]),
+    ("gen-corpus-44k", ["gen-corpus", "--out-dir", "corpus44", "--seed", "0", "--sample-rate", "44100"]),
+    ("detect-44k-mix", ["detect", "corpus44/mix_a_white_snr10.wav", "--out", "detect_44k.json",
+                        "--frames-csv", "detect_44k.csv", "--threshold", "12"]),
+    ("detect-stereo-44k", ["detect", _STEREO, "--out", "detect_stereo.json", "--frames-csv", "detect_stereo.csv",
+                           "--threshold", "12"]),
 ]
+
+
+def write_stereo_pcm16(path: str, seconds: float = 2.0, rate: int = 44100) -> None:
+    """Seeded stereo PCM16: a gated 440 Hz tone over noise on the left, noise alone on the right."""
+    rng = np.random.default_rng(7)
+    t = np.arange(int(seconds * rate)) / rate
+    left = 0.3 * np.sin(2 * np.pi * 440.0 * t) * (t % 1.0 < 0.5) + 0.01 * rng.standard_normal(t.size)
+    right = 0.02 * rng.standard_normal(t.size)
+    frames = np.round(np.stack([left, right], axis=1) * 32767).astype("<i2")
+    with wave.open(path, "wb") as fh:
+        fh.setnchannels(2)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(frames.tobytes())
 
 
 def run_commands(root: str) -> None:
     os.makedirs(os.path.join(root, "stdout"))
+    write_stereo_pcm16(os.path.join(root, _STEREO))
     for i, (name, argv) in enumerate(COMMANDS):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
