@@ -26,7 +26,6 @@ holds each phase's taps at that phase's offset in the window.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-RESAMPLER_PAD = 64  # zero samples added on each side of the resampler input
 RESAMPLER_TAPS = 64  # filter taps per polyphase branch
 BACKEND = "numpy"  # recorded in perfbench's run metadata
 
@@ -39,15 +38,21 @@ def sos_filter(b, a, x):
     """Biquad cascade over x with zero initial state, in block form."""
     n = x.shape[0]
     rows = -(-n // BLOCK)
-    y = np.zeros((rows, BLOCK))
-    y.reshape(-1)[:n] = x
+    cur = np.zeros((rows, BLOCK))
+    cur.reshape(-1)[:n] = x
+    spare = np.empty_like(cur)
     for s in range(b.shape[0]):
-        y = _section_blocks(b[s], a[s], y)
-    return y.reshape(-1)[:n]
+        _section_blocks(b[s], a[s], cur, spare)
+        cur, spare = spare, cur
+    return cur.reshape(-1)[:n]
 
 
-def _section_blocks(b, a, x):
-    """One biquad section over the rows of x, state carried across rows."""
+def _section_blocks(b, a, x, y):
+    """One biquad section from the rows of x into y, state carried across rows.
+
+    x is overwritten once it has been read, so a cascade runs in two
+    row buffers.
+    """
     b0, b1, b2 = (float(v) for v in b)
     a1, a2 = (float(v) for v in a)
     step = np.array([[-a1, 1.0], [-a2, 0.0]])
@@ -61,7 +66,7 @@ def _section_blocks(b, a, x):
     lag = np.arange(BLOCK)[:, None] - np.arange(BLOCK)[None, :]
     toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
 
-    y = x @ toeplitz.T  # zero-state response of every row
+    np.matmul(x, toeplitz.T, out=y)  # zero-state response of every row
     drive = (x @ gain[::-1]).tolist()  # state each row adds: sum_j A^(BLOCK-1-j) B x[j]
     (p, q), (r, t) = powers[BLOCK].tolist()
     start = np.empty((x.shape[0], 2))  # state at the start of each row
@@ -69,22 +74,21 @@ def _section_blocks(b, a, x):
     for k, (u, v) in enumerate(drive):
         start[k] = s1, s2
         s1, s2 = p * s1 + q * s2 + u, r * s1 + t * s2 + v
-    y += start @ powers[:BLOCK, 0, :].T  # row i of the observer is C A^i = (A^i)[0]
-    return y
+    y += np.matmul(start, powers[:BLOCK, 0, :].T, out=x)  # row i of the observer is C A^i = (A^i)[0]
 
 
-def polyphase_filter(xpad, phase_taps, up, down, n_out):
-    """y[n] = sum_k h[p,k] * xpad[PAD + m - k] with p/m derived from n*down.
+def polyphase_filter(x, phase_taps, up, down, n_out):
+    """y[n] = sum_k h[p,k] * x[m - k] with p/m derived from n*down; x reads as zero outside its ends.
 
     The +TAPS/2 bias keeps the output aligned with the input timeline.
-    Output n = j*up + c reads the taps samples of xpad that start at
+    Output n = j*up + c reads the taps samples of x that start at
     first + j*down + c*down // up. When the window of a whole row would be
     wider than _MAX_WINDOW (rate pairs such as 44101 -> 16000 Hz), the row's
     columns are split into groups, each with its own narrower window and
     matrix.
     """
     taps = phase_taps.shape[1]
-    first = RESAMPLER_PAD + taps // 2 - (taps - 1)
+    first = taps // 2 - (taps - 1)  # the first windows start before x
     rows = -(-n_out // up)
     y = np.empty((rows, up))
     group = max(1, min(up, (_MAX_WINDOW - taps) * up // down))
@@ -98,9 +102,18 @@ def polyphase_filter(xpad, phase_taps, up, down, n_out):
         offset = first + int(lead[0])
         for j0 in range(0, rows, _CHUNK_ROWS):
             j1 = min(rows, j0 + _CHUNK_ROWS)
-            span = (j1 - j0 - 1) * down + width
-            seg = xpad[offset + j0 * down :][:span]
-            if seg.shape[0] < span:  # only outputs past n_out read beyond the input
-                seg = np.concatenate([seg, np.zeros(span - seg.shape[0])])
+            seg = _zero_extended(x, offset + j0 * down, (j1 - j0 - 1) * down + width)
             y[j0:j1, c0 : c0 + cols.size] = sliding_window_view(seg, width)[::down] @ band
     return y.reshape(-1)[:n_out]
+
+
+def _zero_extended(x, start, length):
+    """x[start : start + length] with zeros where it reaches past either end of x.
+
+    A view inside x; only a span that crosses an end is copied.
+    """
+    if start >= 0 and start + length <= x.shape[0]:
+        return x[start : start + length]
+    before = min(max(-start, 0), length)
+    inner = x[max(start, 0) : max(start + length, 0)]
+    return np.concatenate([np.zeros(before), inner, np.zeros(length - before - inner.shape[0])])

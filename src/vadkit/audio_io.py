@@ -1,13 +1,16 @@
 """WAV decode/encode and canonical buffer operations.
 
 Everything downstream works on mono float64 buffers; this module owns the
-conversion from RIFF/WAVE files (PCM16 and FLOAT32 only) plus resampling,
-truncation, and peak normalization.
+conversion from RIFF/WAVE files plus resampling, truncation, and peak
+normalization. The reader takes PCM with 16, 24 or 32 bits and IEEE float
+with 32 bits, plain or as WAVE_FORMAT_EXTENSIBLE, with any number of
+channels, which it averages; the writer emits mono PCM16 or FLOAT32.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +32,17 @@ from .errors import (
 
 _FORMAT_PCM = 1
 _FORMAT_FLOAT = 3
+_FORMAT_EXTENSIBLE = 0xFFFE
+# A WAVE_FORMAT_EXTENSIBLE fmt chunk holds the 16 bytes of a plain one, then
+# cbSize, valid bits, channel mask and a 16-byte subformat GUID. The PCM and
+# IEEE-float GUIDs are the format code (1 or 3) followed by this tail.
+_EXTENSIBLE_FMT_BYTES = 40
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("0000 0000 1000 8000 00aa 0038 9b71")
+# PCM sample dtype on disk and full-scale value. 24-bit samples are widened to
+# left-justified int32 while decoding, hence 2**31.
+_PCM_SAMPLES = {16: (np.dtype("<i2"), 32768.0), 24: (np.dtype("V3"), 2.0**31), 32: (np.dtype("<i4"), 2.0**31)}
+_BLOCK_FRAMES = 1 << 16  # frames decoded per block
+_ENDED_EARLY = "{path}: file ended before its chunks did (truncated while being read?)"
 
 _KAISER_BETA = 8.6
 _MAX_POLYPHASE_COEFFICIENTS = 2**24  # 128 MiB of float64; 44101 -> 16000 Hz needs 1,024,000
@@ -72,38 +86,56 @@ class WavMetadata:
 def read_wav(path: str | Path) -> tuple[AudioBuffer, WavMetadata]:
     """Decode a RIFF/WAVE file into a mono buffer.
 
-    Multichannel input is downmixed by the arithmetic mean of channels;
-    PCM16 samples are scaled by 1/32768. Chunks other than fmt/data (LIST,
-    fact, ...) are skipped.
+    Reads PCM with 16, 24 or 32 bits and IEEE float with 32 bits, in
+    WAVE_FORMAT_PCM / WAVE_FORMAT_IEEE_FLOAT files and in
+    WAVE_FORMAT_EXTENSIBLE files whose subformat is PCM or IEEE float.
+    Channels are averaged (bit-identical to numpy's mean over each frame),
+    and PCM is scaled to [-1, 1) by its full-scale value (2**15 for 16 bits,
+    2**23 for 24, 2**31 for 32). Chunks other than fmt/data (LIST, fact,
+    ...) are skipped. The data chunk is decoded in blocks of _BLOCK_FRAMES
+    frames straight into the mono output, so the largest array held is the
+    result itself.
 
     Raises:
         IoFailure: file missing or unreadable.
-        MalformedWav: broken container or non-finite float samples.
-        UnsupportedFormat: format codes other than PCM16 / FLOAT32.
+        MalformedWav: broken container, a file shorter than its chunks say,
+            or non-finite float samples.
+        UnsupportedFormat: any other format code, sample width or
+            WAVE_FORMAT_EXTENSIBLE subformat.
     """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            fmt, data_start, data_size = _find_chunks(fh, path)
+            meta, dtype, full_scale = _parse_fmt(fmt, data_size, path)
+            fh.seek(data_start)
+            samples = _decode_data(fh, dtype, full_scale, meta, path)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    return AudioBuffer(samples, meta.sample_rate_hz), meta
 
-    if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
+
+def _find_chunks(fh, path) -> tuple[bytes, int, int]:
+    """Walk the chunk headers: (fmt body, data offset, data size), the last of each kind."""
+    file_size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise MalformedWav(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     data = None
     pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
+    while pos + 8 <= file_size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", _read_exact(fh, 8, path))
         body_start = pos + 8
-        if body_start + chunk_size > len(raw):
+        if body_start + chunk_size > file_size:
             raise MalformedWav(f"{path}: chunk {chunk_id!r} overruns the file")
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise MalformedWav(f"{path}: fmt chunk too short ({chunk_size} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", raw, body_start)
+            fmt = _read_exact(fh, min(chunk_size, _EXTENSIBLE_FMT_BYTES), path)
         elif chunk_id == b"data":
-            data = raw[body_start : body_start + chunk_size]
+            data = (body_start, chunk_size)
         # RIFF chunks are word-aligned; odd sizes carry a pad byte.
         pos = body_start + chunk_size + (chunk_size & 1)
 
@@ -111,43 +143,97 @@ def read_wav(path: str | Path) -> tuple[AudioBuffer, WavMetadata]:
         raise MalformedWav(f"{path}: missing fmt chunk")
     if data is None:
         raise MalformedWav(f"{path}: missing data chunk")
+    return (fmt, *data)
 
-    format_code, channels, rate, _byte_rate, _block_align, bits = fmt
+
+def _read_exact(fh, size: int, path) -> bytes:
+    raw = fh.read(size)
+    if len(raw) < size:
+        raise MalformedWav(_ENDED_EARLY.format(path=path))
+    return raw
+
+
+def _parse_fmt(fmt: bytes, data_size: int, path) -> tuple[WavMetadata, np.dtype, float | None]:
+    """Metadata, on-disk sample dtype and PCM full-scale value (None for float) of a fmt chunk."""
+    format_code, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
     if channels < 1:
         raise MalformedWav(f"{path}: channel count {channels}")
     if rate <= 0:
         raise MalformedWav(f"{path}: sample rate {rate}")
+    if format_code == _FORMAT_EXTENSIBLE:
+        if len(fmt) < _EXTENSIBLE_FMT_BYTES:
+            raise MalformedWav(f"{path}: fmt chunk too short for WAVE_FORMAT_EXTENSIBLE ({len(fmt)} bytes)")
+        subformat = fmt[24:_EXTENSIBLE_FMT_BYTES]
+        format_code = int.from_bytes(subformat[:2], "little")
+        if subformat[2:] != _SUBFORMAT_GUID_TAIL or format_code not in (_FORMAT_PCM, _FORMAT_FLOAT):
+            raise UnsupportedFormat(
+                f"{path}: WAVE_FORMAT_EXTENSIBLE subformat {subformat.hex()} (only PCM and IEEE float supported)"
+            )
     if format_code == _FORMAT_PCM:
-        if bits != 16:
-            raise UnsupportedFormat(f"{path}: PCM with {bits} bits (only 16 supported)")
-        dtype = np.dtype("<i2")
+        if bits not in _PCM_SAMPLES:
+            raise UnsupportedFormat(f"{path}: PCM with {bits} bits (only 16, 24 and 32 supported)")
+        dtype, full_scale = _PCM_SAMPLES[bits]
     elif format_code == _FORMAT_FLOAT:
         if bits != 32:
             raise UnsupportedFormat(f"{path}: float with {bits} bits (only 32 supported)")
-        dtype = np.dtype("<f4")
+        dtype, full_scale = np.dtype("<f4"), None
     else:
-        raise UnsupportedFormat(f"{path}: format code {format_code} (only 1 and 3 supported)")
+        raise UnsupportedFormat(f"{path}: format code {format_code} (only 1, 3 and 0xFFFE supported)")
 
     frame_bytes = channels * dtype.itemsize
-    if len(data) % frame_bytes != 0:
-        raise MalformedWav(f"{path}: data size {len(data)} not a multiple of frame size {frame_bytes}")
-    frame_count = len(data) // frame_bytes
-
-    values = np.frombuffer(data, dtype=dtype).astype(np.float64)
-    if channels > 1:
-        values = values.reshape(-1, channels).mean(axis=1)
-    if format_code == _FORMAT_PCM:
-        values = values / 32768.0
-    if not np.all(np.isfinite(values)):
-        raise MalformedWav(f"{path}: non-finite samples in data chunk")
-
+    if data_size % frame_bytes != 0:
+        raise MalformedWav(f"{path}: data size {data_size} not a multiple of frame size {frame_bytes}")
     meta = WavMetadata(
         channel_count=channels,
         bits_per_sample=bits,
         sample_rate_hz=rate,
-        frame_count=frame_count,
+        frame_count=data_size // frame_bytes,
     )
-    return AudioBuffer(values, rate), meta
+    return meta, dtype, full_scale
+
+
+def _decode_data(fh, dtype: np.dtype, full_scale: float | None, meta: WavMetadata, path) -> np.ndarray:
+    """Decode the data chunk at fh's position, block by block, into one mono float64 array."""
+    channels = meta.channel_count
+    out = np.empty(meta.frame_count)
+    for start in range(0, meta.frame_count, _BLOCK_FRAMES):
+        dest = out[start : start + _BLOCK_FRAMES]
+        count = dest.shape[0] * channels
+        block = np.fromfile(fh, dtype=dtype, count=count)
+        if block.shape[0] < count:  # the file shrank after its size was read
+            raise MalformedWav(_ENDED_EARLY.format(path=path))
+        if dtype.itemsize == 3:  # PCM24: each sample goes in the top three bytes of an int32
+            wide = np.zeros((count, 4), dtype=np.uint8)
+            wide[:, 1:] = block.view(np.uint8).reshape(count, 3)
+            block = wide.view("<i4").reshape(count)
+        _downmix(block.reshape(-1, channels), dest)
+        if full_scale is not None:
+            dest /= full_scale
+        elif not np.all(np.isfinite(dest)):
+            raise MalformedWav(f"{path}: non-finite samples in data chunk")
+    return out
+
+
+def _downmix(frames: np.ndarray, dest: np.ndarray) -> None:
+    """Average the columns of one block into dest.
+
+    Bit-identical to frames.astype(float64).mean(axis=1) without making that
+    float64 copy; a single column is copied as it is.
+    """
+    channels = frames.shape[1]
+    if channels == 1:
+        dest[:] = frames[:, 0]
+    elif channels < 8:
+        # Below 8 values numpy's mean adds a row in order, starting from +0.0.
+        np.add(frames[:, 0], frames[:, 1], out=dest, dtype=np.float64)
+        for k in range(2, channels):
+            dest += frames[:, k]
+        if frames.dtype.kind == "f":
+            dest += 0.0  # so that a frame of -0.0 averages to +0.0, as in mean
+        dest /= channels
+    else:
+        # From 8 values up it may sum pairwise; keep mean for this block.
+        frames.astype(np.float64).mean(axis=1, out=dest)
 
 
 def write_wav(buffer: AudioBuffer, path: str | Path, format: str = "pcm16") -> None:
@@ -224,10 +310,8 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
         )
     phase_taps = _design_polyphase(up, source_rate, target_rate_hz)
 
-    pad = _kernels.RESAMPLER_PAD
-    xpad = np.concatenate([np.zeros(pad), buffer.samples, np.zeros(pad)])
     n_out = -(-len(buffer) * up // down)
-    y = _kernels.polyphase_filter(xpad, phase_taps, up, down, n_out)
+    y = _kernels.polyphase_filter(buffer.samples, phase_taps, up, down, n_out)
     return AudioBuffer(y, target_rate_hz)
 
 

@@ -18,7 +18,7 @@ class MalformedWav(VadKitError):
 
 
 class UnsupportedFormat(VadKitError):
-    """WAV format code or sample width outside PCM16 / FLOAT32."""
+    """WAV format code, subformat or sample width outside PCM 16/24/32 bits and FLOAT32."""
 
 
 class OutOfRange(VadKitError):

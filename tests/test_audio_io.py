@@ -1,11 +1,27 @@
 """WAV container round-trips, resampling oracles, truncation, normalization."""
 
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from vadkit import AudioBuffer, peak_normalize, read_wav, resample, spectrogram, truncate_to, write_wav
+from vadkit import (
+    AudioBuffer,
+    _kernels,
+    audio_io,
+    peak_normalize,
+    read_wav,
+    resample,
+    spectrogram,
+    truncate_to,
+    write_wav,
+)
+from vadkit.cli import main
 from vadkit.errors import (
     EmptySignal,
     InvalidRate,
@@ -14,6 +30,7 @@ from vadkit.errors import (
     MalformedWav,
     OutOfRange,
     UnsupportedFormat,
+    VadKitError,
 )
 
 
@@ -166,6 +183,217 @@ def test_reader_rejects_truncated_data(tmp_path):
 def test_missing_file_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         read_wav(tmp_path / "absent.wav")
+
+
+# KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT: the format code, then this tail.
+_GUID_TAIL = bytes.fromhex("0000 0000 1000 8000 00aa 0038 9b71")
+
+
+def _fmt(code, channels, bits, rate=16000, subformat=None):
+    """A fmt chunk body; with subformat, a WAVE_FORMAT_EXTENSIBLE one carrying that code's GUID."""
+    width = channels * bits // 8
+    body = struct.pack("<HHIIHH", code, channels, rate, rate * width, width, bits)
+    if subformat is not None:  # cbSize, valid bits, channel mask, subformat GUID
+        body += struct.pack("<HHIH", 22, bits, 0, subformat) + _GUID_TAIL
+    return body
+
+
+def _wav(fmt_body, data, extra=b""):
+    """RIFF/WAVE bytes: a fmt chunk, the chunks in extra, then the data chunk."""
+    body = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + extra
+    body += b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def _pcm_bytes(frames, bits):
+    """Samples in [-1, 1) rounded to signed little-endian PCM of the given width."""
+    q = np.round(frames * 2.0 ** (bits - 1)).astype("<i8")
+    return q.view(np.uint8).reshape(-1, 8)[:, : bits // 8].tobytes()
+
+
+@pytest.mark.parametrize("channels", range(1, 11))
+def test_downmix_is_bit_identical_to_numpy_mean(tmp_path, channels):
+    """Blocks and in-order sums give what one mean over every frame gives,
+    including frames of -0.0, which average to +0.0. Mono is not averaged."""
+    rng = np.random.default_rng(channels)
+    n = audio_io._BLOCK_FRAMES + 3  # one full block and a short one
+    ints = rng.integers(-32768, 32768, (n, channels)).astype("<i2")
+    floats = (rng.standard_normal((n, channels)) * rng.uniform(0, 4, (n, 1))).astype("<f4")
+    floats[:4] = -0.0
+    floats[4:8, 0] = -0.0
+    floats[8:12] = 0.0
+    (tmp_path / "i.wav").write_bytes(_wav(_fmt(1, channels, 16), ints.tobytes()))
+    (tmp_path / "f.wav").write_bytes(_wav(_fmt(3, channels, 32), floats.tobytes()))
+    for name, frames, full_scale in (("i.wav", ints, 32768.0), ("f.wav", floats, 1.0)):
+        want = frames.astype(np.float64)
+        if channels > 1:
+            want = want.mean(axis=1)
+        got, _ = read_wav(tmp_path / name)
+        assert got.samples.tobytes() == (want.reshape(-1) / full_scale).tobytes()
+
+
+@pytest.mark.parametrize("channels", (1, 2, 3))
+def test_wider_pcm_and_extensible_decode_like_their_twins(tmp_path, channels):
+    rng = np.random.default_rng(channels)
+    frames = rng.uniform(-0.99, 0.99, (audio_io._BLOCK_FRAMES + 100, channels))
+    mean = frames.mean(axis=1)
+
+    def read(name, fmt_body, data):
+        (tmp_path / name).write_bytes(_wav(fmt_body, data))
+        buf, meta = read_wav(tmp_path / name)
+        assert (meta.channel_count, meta.frame_count) == (channels, len(frames))
+        return buf.samples
+
+    pcm16 = read("16.wav", _fmt(1, channels, 16), _pcm_bytes(frames, 16))
+    for bits in (24, 32):
+        data = _pcm_bytes(frames, bits)
+        pcm = read(f"{bits}.wav", _fmt(1, channels, bits), data)
+        assert np.max(np.abs(pcm - mean)) <= 2.0**-bits + 1e-15  # half a step of its own width
+        assert np.max(np.abs(pcm - pcm16)) <= 2.0**-15  # one PCM16 step
+        ext = read(f"ext{bits}.wav", _fmt(0xFFFE, channels, bits, subformat=1), data)
+        assert ext.tobytes() == pcm.tobytes()
+    assert read("ext16.wav", _fmt(0xFFFE, channels, 16, subformat=1), _pcm_bytes(frames, 16)).tobytes() == (
+        pcm16.tobytes()
+    )
+    f32 = frames.astype("<f4").tobytes()
+    flt = read("f.wav", _fmt(3, channels, 32), f32)
+    assert read("extf.wav", _fmt(0xFFFE, channels, 32, subformat=3), f32).tobytes() == flt.tobytes()
+
+
+def test_unknown_extensible_subformat_exits_2(tmp_path, monkeypatch):
+    data = np.zeros(8, "<i2").tobytes()
+    alaw = _fmt(0xFFFE, 1, 16, subformat=6)
+    other_guid = _fmt(0xFFFE, 1, 16, subformat=1)[:-1] + b"\x00"
+    for name, fmt_body in (("alaw.wav", alaw), ("other.wav", other_guid)):
+        (tmp_path / name).write_bytes(_wav(fmt_body, data))
+        with pytest.raises(UnsupportedFormat, match="subformat"):
+            read_wav(tmp_path / name)
+    (tmp_path / "short.wav").write_bytes(_wav(_fmt(0xFFFE, 1, 16) + b"\x00\x00", data))
+    with pytest.raises(MalformedWav, match="EXTENSIBLE"):
+        read_wav(tmp_path / "short.wav")
+    monkeypatch.chdir(tmp_path)
+    assert main(["detect", "alaw.wav"]) == 2
+
+
+def test_file_that_shrinks_while_read_is_malformed(tmp_path, monkeypatch):
+    blob = _wav(_fmt(1, 2, 16), np.zeros(2 * audio_io._BLOCK_FRAMES, "<i2").tobytes())
+    path = tmp_path / "s.wav"
+    path.write_bytes(blob[:-1000])
+    # The size read before the data was: the whole file.
+    monkeypatch.setattr(audio_io.os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+    with pytest.raises(MalformedWav, match="ended"):
+        read_wav(path)
+
+
+def test_read_error_in_data_is_io_failure(tmp_path, monkeypatch):
+    path = tmp_path / "e.wav"
+    write_wav(AudioBuffer(np.zeros(100), 16000), path)
+
+    def fail(*args, **kwargs):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(audio_io.np, "fromfile", fail)
+    with pytest.raises(IoFailure, match="cannot read"):
+        read_wav(path)
+
+
+def _chunk_headers(blob):
+    """Offsets of every chunk header, the RIFF header first."""
+    offsets = [0]
+    pos = 12
+    while pos + 8 <= len(blob):
+        offsets.append(pos)
+        (size,) = struct.unpack_from("<I", blob, pos + 4)
+        pos += 8 + size + (size & 1)
+    return offsets
+
+
+_FUZZ_BASES = {
+    "pcm16-stereo": _wav(_fmt(1, 2, 16), np.arange(-200, 200, dtype="<i2").tobytes()),
+    "float32-mono-list": _wav(
+        _fmt(3, 1, 32) + b"\x00\x00",
+        np.linspace(-1, 1, 50, dtype="<f4").tobytes(),
+        extra=b"LIST" + struct.pack("<I", 5) + b"INFOx\x00",
+    ),
+}
+_CHUNK_IDS = st.sampled_from([b"RIFF", b"WAVE", b"fmt ", b"data", b"LIST", b"fact", b"\x00" * 4])
+_SIZES = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 15, 16, 17, 18, 40, 2**31, 2**32 - 1]))
+_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("byte"), st.integers(0, 79), st.integers(0, 255)),
+        st.tuples(st.just("id"), st.integers(0, 9), _CHUNK_IDS),
+        st.tuples(st.just("size"), st.integers(0, 9), _SIZES),
+        st.tuples(st.just("size-step"), st.integers(0, 9), st.integers(-9, 9)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(sorted(_FUZZ_BASES)), mutations=_MUTATIONS, cut=st.none() | st.integers(0, 300))
+def test_mutated_headers_decode_or_raise_vadkit_error(base, mutations, cut):
+    blob = bytearray(_FUZZ_BASES[base])
+    headers = _chunk_headers(blob)
+    for kind, where, value in mutations:
+        if kind == "byte":
+            blob[where % len(blob)] = value
+            continue
+        at = headers[where % len(headers)]
+        if kind == "id":
+            blob[at : at + 4] = value
+        else:
+            (size,) = struct.unpack_from("<I", blob, at + 4)
+            size = value if kind == "size" else (size + value) % 2**32
+            blob[at + 4 : at + 8] = struct.pack("<I", size)
+    if cut is not None:
+        del blob[cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.wav"
+        path.write_bytes(blob)
+        try:
+            buf, meta = read_wav(path)
+        except VadKitError as exc:
+            event(type(exc).__name__)
+            return
+    event("decoded")
+    assert len(buf) == meta.frame_count
+    assert np.all(np.isfinite(buf.samples))
+
+
+def test_read_wav_holds_one_mono_array(tmp_path):
+    """Peak traced memory: the float64 result plus one block's temporaries,
+    not the file's bytes or a float64 copy of every channel."""
+    n = 441000  # 10 s of stereo 44.1 kHz
+    data = np.random.default_rng(8).integers(-32768, 32768, 2 * n).astype("<i2").tobytes()
+    path = tmp_path / "long.wav"
+    path.write_bytes(_wav(_fmt(1, 2, 16, rate=44100), data))
+    tracemalloc.start()
+    try:
+        buf, _ = read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == n
+    block = audio_io._BLOCK_FRAMES * 2 * 8  # one block of both channels, as float64
+    assert peak < 8 * n + block, peak
+
+
+def test_resample_holds_no_copy_of_its_input():
+    """Peak traced memory: the output plus one chunk (its window copy and its
+    product), which is less than a copy of the input would take."""
+    x = np.random.default_rng(9).standard_normal(60 * 44100)
+    up = 160  # 44100 -> 16000 Hz is 160/441
+    chunk = _kernels._CHUNK_ROWS * (_kernels._MAX_WINDOW + up) * 8
+    assert chunk < x.nbytes
+    buffer = AudioBuffer(x, 44100)
+    tracemalloc.start()
+    try:
+        out = resample(buffer, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.samples.nbytes + chunk, peak
 
 
 def test_resample_identity():

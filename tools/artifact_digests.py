@@ -6,6 +6,9 @@ Prints one `sha256  relpath` line per file written, including one
 `stdout/NN-name.txt` file per command that holds its exit code and stdout.
 A 44.1 kHz corpus and a seeded stereo PCM16 file, written here with the
 stdlib `wave` module, take detect through the resampler and the downmix.
+Seeded 3-channel float32 and 10-channel PCM16 files, written with numpy and
+`struct`, take it through the reader's other two downmix paths (columns
+added in order below 8 channels, numpy's mean from 8 up).
 Two checkouts write the same bytes when their outputs are identical:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > change.txt
@@ -19,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import os
+import struct
 import sys
 import tempfile
 import wave
@@ -30,6 +34,8 @@ from vadkit.cli import main
 _CLIP = "corpus/mix_a_white_snr10.wav"
 _MANIFEST = "corpus/manifest.json"
 _STEREO = "stereo44.wav"
+_FLOAT3 = "float3ch.wav"
+_PCM10 = "pcm10ch.wav"
 
 COMMANDS = [
     ("gen-corpus", ["gen-corpus", "--out-dir", "corpus", "--seed", "0"]),
@@ -61,6 +67,10 @@ COMMANDS = [
                         "--frames-csv", "detect_44k.csv", "--threshold", "12"]),
     ("detect-stereo-44k", ["detect", _STEREO, "--out", "detect_stereo.json", "--frames-csv", "detect_stereo.csv",
                            "--threshold", "12"]),
+    ("detect-float32-3ch", ["detect", _FLOAT3, "--out", "detect_float3.json", "--frames-csv", "detect_float3.csv",
+                            "--threshold", "12"]),
+    ("detect-pcm16-10ch", ["detect", _PCM10, "--out", "detect_pcm10.json", "--frames-csv", "detect_pcm10.csv",
+                           "--threshold", "12"]),
 ]
 
 
@@ -78,9 +88,29 @@ def write_stereo_pcm16(path: str, seconds: float = 2.0, rate: int = 44100) -> No
         fh.writeframes(frames.tobytes())
 
 
+def write_multichannel(path: str, channels: int, float32: bool, seed: int,
+                       seconds: float = 3.0, rate: int = 22050) -> None:
+    """Seeded multichannel WAV: a gated 300 Hz tone in channel 0, independent noise in every channel."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(seconds * rate)) / rate
+    x = 0.02 * rng.standard_normal((t.size, channels))
+    x[:, 0] += 0.4 * np.sin(2 * np.pi * 300.0 * t) * (t % 1.0 < 0.5)
+    if float32:
+        code, data = 3, x.astype("<f4").tobytes()
+    else:
+        code, data = 1, np.round(x * 32767).astype("<i2").tobytes()
+    width = 4 if float32 else 2
+    fmt = struct.pack("<HHIIHH", code, channels, rate, rate * channels * width, channels * width, 8 * width)
+    body = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+
+
 def run_commands(root: str) -> None:
     os.makedirs(os.path.join(root, "stdout"))
     write_stereo_pcm16(os.path.join(root, _STEREO))
+    write_multichannel(os.path.join(root, _FLOAT3), 3, float32=True, seed=3)
+    write_multichannel(os.path.join(root, _PCM10), 10, float32=False, seed=10)
     for i, (name, argv) in enumerate(COMMANDS):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
