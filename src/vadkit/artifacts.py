@@ -66,11 +66,25 @@ def make_output_dir(path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def write_json(payload, path, indent: int | None = 2) -> None:
-    """`json.dumps` text plus a newline; dumps, unlike dump, can use the C encoder."""
-    text = json.dumps(payload, indent=indent) + "\n"
+def write_json(payload, path) -> None:
+    """`json.dumps` text, indented by 2, plus a newline; dumps, unlike dump, can use the C encoder."""
+    text = json.dumps(payload, indent=2) + "\n"
     with open_output(path) as fh:
         fh.write(text.encode())
+
+
+def write_json_rows(payload: dict, path) -> None:
+    """`json.dumps(payload)` text plus a newline, the items of payload's last value, a list, encoded one at a time.
+
+    The C encoder holds the text of every number in a payload until it joins
+    them; item by item, it holds one item's.
+    """
+    *head, (key, items) = payload.items()
+    with open_output(path) as fh:
+        fh.write(json.dumps({**dict(head), key: []})[:-2].encode())  # all but the closing "]}"
+        for i, item in enumerate(items):
+            fh.write(((", " if i else "") + json.dumps(item)).encode())
+        fh.write(b"]}\n")
 
 
 def write_table(path, columns: dict, line_end: str) -> None:

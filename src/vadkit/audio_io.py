@@ -42,6 +42,9 @@ _SUBFORMAT_GUID_TAIL = bytes.fromhex("0000 0000 1000 8000 00aa 0038 9b71")
 # left-justified int32 while decoding, hence 2**31.
 _PCM_SAMPLES = {16: (np.dtype("<i2"), 32768.0), 24: (np.dtype("V3"), 2.0**31), 32: (np.dtype("<i4"), 2.0**31)}
 _BLOCK_FRAMES = 1 << 16  # frames decoded per block
+# Streaming recorders leave a data size of 0xFFFFFFFF, or 0 with a RIFF size
+# of 0 or 0xFFFFFFFF, when they cannot seek back to patch the header.
+_UNKNOWN_SIZE = 0xFFFFFFFF
 _ENDED_EARLY = "{path}: file ended before its chunks did (truncated while being read?)"
 
 _KAISER_BETA = 8.6
@@ -92,9 +95,11 @@ def read_wav(path: str | Path) -> tuple[AudioBuffer, WavMetadata]:
     Channels are averaged (bit-identical to numpy's mean over each frame),
     and PCM is scaled to [-1, 1) by its full-scale value (2**15 for 16 bits,
     2**23 for 24, 2**31 for 32). Chunks other than fmt/data (LIST, fact,
-    ...) are skipped. The data chunk is decoded in blocks of _BLOCK_FRAMES
-    frames straight into the mono output, so the largest array held is the
-    result itself.
+    ...) are skipped. A data chunk whose size a streaming recorder left as
+    0xFFFFFFFF, or as 0 in a file whose RIFF size is 0 or 0xFFFFFFFF, runs
+    to the end of the file, floored to whole frames. The data chunk is
+    decoded in blocks of _BLOCK_FRAMES frames straight into the mono output,
+    so the largest array held is the result itself.
 
     Raises:
         IoFailure: file missing or unreadable.
@@ -105,8 +110,8 @@ def read_wav(path: str | Path) -> tuple[AudioBuffer, WavMetadata]:
     """
     try:
         with open(path, "rb") as fh:
-            fmt, data_start, data_size = _find_chunks(fh, path)
-            meta, dtype, full_scale = _parse_fmt(fmt, data_size, path)
+            fmt, data_start, data_size, to_end = _find_chunks(fh, path)
+            meta, dtype, full_scale = _parse_fmt(fmt, data_size, to_end, path)
             fh.seek(data_start)
             samples = _decode_data(fh, dtype, full_scale, meta, path)
     except OSError as exc:
@@ -114,12 +119,17 @@ def read_wav(path: str | Path) -> tuple[AudioBuffer, WavMetadata]:
     return AudioBuffer(samples, meta.sample_rate_hz), meta
 
 
-def _find_chunks(fh, path) -> tuple[bytes, int, int]:
-    """Walk the chunk headers: (fmt body, data offset, data size), the last of each kind."""
+def _find_chunks(fh, path) -> tuple[bytes, int, int, bool]:
+    """Walk the chunk headers: (fmt body, data offset, data size, whether the data runs to the end).
+
+    The last chunk of each kind counts. A data chunk of unknown size ends
+    the walk, and its size is what is left of the file.
+    """
     file_size = os.fstat(fh.fileno()).st_size
     head = fh.read(12)
     if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise MalformedWav(f"{path}: not a RIFF/WAVE file")
+    riff_size_unknown = struct.unpack_from("<I", head, 4)[0] in (0, _UNKNOWN_SIZE)
 
     fmt = None
     data = None
@@ -128,6 +138,9 @@ def _find_chunks(fh, path) -> tuple[bytes, int, int]:
         fh.seek(pos)
         chunk_id, chunk_size = struct.unpack("<4sI", _read_exact(fh, 8, path))
         body_start = pos + 8
+        if chunk_id == b"data" and (chunk_size == _UNKNOWN_SIZE or (chunk_size == 0 and riff_size_unknown)):
+            data = (body_start, file_size - body_start, True)
+            break
         if body_start + chunk_size > file_size:
             raise MalformedWav(f"{path}: chunk {chunk_id!r} overruns the file")
         if chunk_id == b"fmt ":
@@ -135,7 +148,7 @@ def _find_chunks(fh, path) -> tuple[bytes, int, int]:
                 raise MalformedWav(f"{path}: fmt chunk too short ({chunk_size} bytes)")
             fmt = _read_exact(fh, min(chunk_size, _EXTENSIBLE_FMT_BYTES), path)
         elif chunk_id == b"data":
-            data = (body_start, chunk_size)
+            data = (body_start, chunk_size, False)
         # RIFF chunks are word-aligned; odd sizes carry a pad byte.
         pos = body_start + chunk_size + (chunk_size & 1)
 
@@ -153,8 +166,11 @@ def _read_exact(fh, size: int, path) -> bytes:
     return raw
 
 
-def _parse_fmt(fmt: bytes, data_size: int, path) -> tuple[WavMetadata, np.dtype, float | None]:
-    """Metadata, on-disk sample dtype and PCM full-scale value (None for float) of a fmt chunk."""
+def _parse_fmt(fmt: bytes, data_size: int, to_end: bool, path) -> tuple[WavMetadata, np.dtype, float | None]:
+    """Metadata, on-disk sample dtype and PCM full-scale value (None for float) of a fmt chunk.
+
+    A data chunk that runs to the end of the file (to_end) drops a partial last frame.
+    """
     format_code, channels, rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
     if channels < 1:
         raise MalformedWav(f"{path}: channel count {channels}")
@@ -181,7 +197,9 @@ def _parse_fmt(fmt: bytes, data_size: int, path) -> tuple[WavMetadata, np.dtype,
         raise UnsupportedFormat(f"{path}: format code {format_code} (only 1, 3 and 0xFFFE supported)")
 
     frame_bytes = channels * dtype.itemsize
-    if data_size % frame_bytes != 0:
+    if to_end:
+        data_size -= data_size % frame_bytes
+    elif data_size % frame_bytes != 0:
         raise MalformedWav(f"{path}: data size {data_size} not a multiple of frame size {frame_bytes}")
     meta = WavMetadata(
         channel_count=channels,
@@ -206,7 +224,8 @@ def _decode_data(fh, dtype: np.dtype, full_scale: float | None, meta: WavMetadat
             wide = np.zeros((count, 4), dtype=np.uint8)
             wide[:, 1:] = block.view(np.uint8).reshape(count, 3)
             block = wide.view("<i4").reshape(count)
-        _downmix(block.reshape(-1, channels), dest)
+        with np.errstate(invalid="ignore"):  # +inf and -inf in one frame average to NaN, refused below
+            _downmix(block.reshape(-1, channels), dest)
         if full_scale is not None:
             dest /= full_scale
         elif not np.all(np.isfinite(dest)):

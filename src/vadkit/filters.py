@@ -8,6 +8,7 @@ z = -1, one pair per section.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +72,16 @@ class BiquadCascade:
         b = np.array([[s.b0, s.b1, s.b2] for s in self.sections])
         a = np.array([[s.a1, s.a2] for s in self.sections])
         return b, a
+
+    @functools.cached_property
+    def plan(self) -> tuple:
+        """The block filter's matrices (`_kernels.sos_plan`), built on first use and kept with this cascade."""
+        return _kernels.sos_plan(*self.coefficient_arrays())
+
+    def __getstate__(self):
+        # A pickled cascade (one per task under --jobs) leaves its plan out;
+        # the receiving process builds its own on first use.
+        return {name: value for name, value in self.__dict__.items() if name != "plan"}
 
 
 def design_butterworth_bandpass(spec: FilterSpec) -> BiquadCascade:
@@ -170,8 +181,7 @@ def apply_cascade(cascade: BiquadCascade, buffer: AudioBuffer) -> AudioBuffer:
             f"buffer at {buffer.sample_rate_hz} Hz, cascade designed for "
             f"{cascade.spec.sample_rate_hz} Hz"
         )
-    b, a = cascade.coefficient_arrays()
-    y = _kernels.sos_filter(b, a, buffer.samples)
+    y = _kernels.sos_filter(cascade.plan, buffer.samples)
     return AudioBuffer(y, buffer.sample_rate_hz)
 
 

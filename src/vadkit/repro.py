@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .artifacts import make_output_dir, write_json, write_table
+from .artifacts import make_output_dir, write_json, write_json_rows, write_table
 from .audio_io import AudioBuffer, read_wav
 from .config import CliConfig
 from .corpus import generate_corpus
@@ -86,7 +86,7 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
         matrix = spectrogram(
             buffer, fft_size=config.fft_size, hop_samples=config.spectrogram_hop
         )
-        write_json(to_json_dict(matrix), _out(f"fig4_{name}.json"), indent=None)
+        write_json_rows(to_json_dict(matrix), _out(f"fig4_{name}.json"))
         write_pgm(matrix, _out(f"fig4_{name}.pgm"))
 
     summary = {

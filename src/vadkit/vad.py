@@ -100,9 +100,13 @@ def _frame_energies_db(frames: np.ndarray, energy_floor: float) -> np.ndarray:
     # threshold for trimming the heap on free: a clip-sized temporary, freed
     # at the top of the heap, is handed back to the system and faulted in
     # again by the next detection. The log stays scalar, because np.log10
-    # can differ from math.log10 by one ulp.
-    rows = max(1, 32768 // (frames.itemsize * frames.shape[1]))
-    blocks = (np.mean(np.square(frames[i : i + rows]), axis=1).tolist() for i in range(0, len(frames), rows))
+    # can differ from math.log10 by one ulp. add.reduce then a division by the
+    # width is what np.mean does, without its Python-level wrapper per block.
+    width = frames.shape[1]
+    rows = max(1, 32768 // (frames.itemsize * width))
+    blocks = (
+        (np.add.reduce(np.square(frames[i : i + rows]), axis=1) / width).tolist() for i in range(0, len(frames), rows)
+    )
     return np.array([10.0 * math.log10(max(power, energy_floor)) for block in blocks for power in block])
 
 

@@ -405,6 +405,27 @@ def test_mix_solves_the_gain_once(cli_corpus, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_sweep_builds_the_filter_plan_once(cli_corpus, tmp_path, monkeypatch):
+    """All 13 clips of the corpus go through one cascade, so one plan."""
+    from vadkit import _kernels
+
+    calls = []
+    build = _kernels.sos_plan
+
+    def counted(b, a):
+        calls.append(1)
+        return build(b, a)
+
+    monkeypatch.setattr(_kernels, "sos_plan", counted)
+    manifest = cli_corpus / "manifest.json"
+    assert len(json.loads(manifest.read_text())) == 13
+    assert _run([
+        "sweep", "--manifest", manifest, "--windows", "0.155,0.31", "--thresholds", "6,12",
+        "--jobs", "1", "--out", tmp_path / "s.json",
+    ]) == 0
+    assert len(calls) == 1
+
+
 def test_eval_and_sweep_reject_jobs_below_one(cli_corpus, tmp_path, capsys):
     manifest = cli_corpus / "manifest.json"
     assert _run(["eval", "--manifest", manifest, "--out", tmp_path / "e.json", "--jobs", "0"]) == 2

@@ -1,6 +1,7 @@
 """Bandpass design numbers, response oracle agreement, and cascade behavior."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from vadkit import (
     AudioBuffer,
     FilterSpec,
+    _kernels,
     apply_cascade,
     design_butterworth_bandpass,
     frequency_response,
@@ -165,6 +167,31 @@ def test_cascade_dict_round_trip_fields(default_cascade):
     assert d["spec"]["high_cutoff_hz"] == 1500.0
     assert len(d["sections"]) == 2
     assert set(d["sections"][0]) == {"b0", "b1", "b2", "a1", "a2"}
+
+
+def test_cascade_builds_its_plan_once_and_pickles_without_it(monkeypatch):
+    """One plan per cascade: reused bit for bit, left out of pickles (each
+    unpickled copy builds its own) and out of the artifact dict."""
+    calls = []
+    build = _kernels.sos_plan
+
+    def counted(b, a):
+        calls.append(1)
+        return build(b, a)
+
+    monkeypatch.setattr(_kernels, "sos_plan", counted)
+    cascade = design_butterworth_bandpass(FilterSpec())
+    unused = pickle.dumps(cascade)
+    buffer = AudioBuffer(np.random.default_rng(4).standard_normal(5000), 16000)
+    first = apply_cascade(cascade, buffer).samples.tobytes()
+    assert apply_cascade(cascade, buffer).samples.tobytes() == first
+    assert len(calls) == 1
+    assert pickle.dumps(cascade) == unused
+    assert set(cascade_to_dict(cascade)) == {"spec", "sections"}
+    copy = pickle.loads(unused)
+    assert copy == cascade
+    assert apply_cascade(copy, buffer).samples.tobytes() == first
+    assert len(calls) == 2
 
 
 def test_against_scipy_reference():

@@ -42,7 +42,7 @@ def test_sos_matches_loop_oracle(design):
     for n in SOS_LENGTHS:
         x = rng.standard_normal(n)
         loop = naive_sos(b, a, x)
-        fast = _kernels.sos_filter(b, a, x)
+        fast = _kernels.sos_filter(_kernels.sos_plan(b, a), x)
         assert fast.shape == (n,)
         if n:
             err = np.max(np.abs(loop - fast)) / np.max(np.abs(loop))
@@ -51,8 +51,13 @@ def test_sos_matches_loop_oracle(design):
 
 def test_polyphase_matches_loop_oracle():
     rng = np.random.default_rng(32)
-    # (2, 2001): a row's window is wider than _MAX_WINDOW, so it is split.
-    pairs = ((2, 3), (3, 2), (160, 441), (441, 160), (1, 4), (1, 6), (2, 1), (2, 2001))
+    # Pairs with down < 64 taps run whole rows. (147, 160) and (160, 147): up is
+    # not a multiple of the group width. (101, 80): a window fits down samples
+    # only in groups of 21 columns.
+    pairs = (
+        (2, 3), (3, 2), (160, 441), (441, 160), (1, 4), (1, 6), (2, 1), (2, 2001),
+        (147, 160), (160, 147), (101, 80),
+    )
     for up, down in pairs:
         # Inputs shorter than the tap count read zero padding on both sides.
         for n in (1, 2, 63, int(rng.integers(500, 3000))):
@@ -66,17 +71,35 @@ def test_polyphase_matches_loop_oracle():
             assert np.max(np.abs(loop - fast)) / scale < RELATIVE_BOUND, (up, down, n)
 
 
+def test_polyphase_chunks_match_loop_oracle():
+    """Rows past _CHUNK_ROWS: (5, 120) runs groups of 3 and 2 columns over two
+    in-place chunks of windows, between the rows that cross either end."""
+    up, down = 5, 120
+    rows = 2 * _kernels._CHUNK_ROWS + 7
+    n = rows * down
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal(n)
+    taps = rng.standard_normal((up, _kernels.RESAMPLER_TAPS))
+    n_out = -(-n * up // down)
+    loop = naive_polyphase(_padded(x), taps, up, down, n_out, ORACLE_PAD)
+    fast = _kernels.polyphase_filter(x, taps, up, down, n_out)
+    assert np.max(np.abs(loop - fast)) / max(1.0, float(np.max(np.abs(fast)))) < RELATIVE_BOUND
+
+
 def test_kernels_are_deterministic():
-    """Bit-identical output on repeated calls and on an offset slice of a
-    larger array, so same-version artifacts stay byte-identical."""
+    """Bit-identical output on repeated calls, with a reused filter plan, and
+    on an offset slice of a larger array, so same-version artifacts stay
+    byte-identical."""
     rng = np.random.default_rng(7)
     big = rng.standard_normal(50000)
     x = big[3:45003]  # starts 24 bytes into the buffer
     b, a = _coefficients(4, 300.0, 1500.0, 16000)
-    first = _kernels.sos_filter(b, a, x.copy()).tobytes()
+    first = _kernels.sos_filter(_kernels.sos_plan(b, a), x.copy()).tobytes()
+    plan = _kernels.sos_plan(b, a)
     for _ in range(3):
-        assert _kernels.sos_filter(b, a, x).tobytes() == first
-        assert _kernels.sos_filter(b, a, x.copy()).tobytes() == first
+        assert _kernels.sos_filter(plan, x).tobytes() == first
+        assert _kernels.sos_filter(plan, x.copy()).tobytes() == first
+        assert _kernels.sos_filter(_kernels.sos_plan(b, a), x).tobytes() == first
 
     taps = rng.standard_normal((160, _kernels.RESAMPLER_TAPS))
     n_out = -(-x.size * 160 // 441)

@@ -5,7 +5,8 @@ directory, with relative paths so that no artifact records where it ran.
 Prints one `sha256  relpath` line per file written, including one
 `stdout/NN-name.txt` file per command that holds its exit code and stdout.
 A 44.1 kHz corpus and a seeded stereo PCM16 file, written here with the
-stdlib `wave` module, take detect through the resampler and the downmix.
+stdlib `wave` module, take detect through the resampler and the downmix;
+a sweep over that corpus takes the per-clip engine through the resampler.
 Seeded 3-channel float32 and 10-channel PCM16 files, written with numpy and
 `struct`, take it through the reader's other two downmix paths (columns
 added in order below 8 channels, numpy's mean from 8 up).
@@ -71,6 +72,8 @@ COMMANDS = [
                             "--threshold", "12"]),
     ("detect-pcm16-10ch", ["detect", _PCM10, "--out", "detect_pcm10.json", "--frames-csv", "detect_pcm10.csv",
                            "--threshold", "12"]),
+    ("sweep-44k", ["sweep", "--manifest", "corpus44/manifest.json", "--windows", "0.155,0.31",
+                   "--thresholds", "6,12,20", "--out", "sweep_44k.json", "--csv", "sweep_44k.csv"]),
 ]
 
 
