@@ -48,6 +48,7 @@ from .vad import (
     detect,
     detect_prefiltered,
     estimate_noise_floor_db,
+    frame_energies,
     frame_energy_db,
     frame_signal,
     merge_intervals,
@@ -75,6 +76,7 @@ __all__ = [
     "detect_prefiltered",
     "estimate_noise_floor_db",
     "evaluate_clips",
+    "frame_energies",
     "frame_energy_db",
     "frame_signal",
     "frequency_response",

@@ -48,7 +48,9 @@ _UNKNOWN_SIZE = 0xFFFFFFFF
 _ENDED_EARLY = "{path}: file ended before its chunks did (truncated while being read?)"
 
 _KAISER_BETA = 8.6
-_MAX_POLYPHASE_COEFFICIENTS = 2**24  # 128 MiB of float64; 44101 -> 16000 Hz needs 1,024,000
+# The most samples, or resampler coefficients, that one array sized by a
+# setting may hold: 128 MiB of float64. 44101 -> 16000 Hz needs 1,024,000.
+SIZE_LIMIT = 2**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,16 +324,24 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     g = math.gcd(source_rate, target_rate_hz)
     up = target_rate_hz // g
     down = source_rate // g
-    if up * _kernels.RESAMPLER_TAPS > _MAX_POLYPHASE_COEFFICIENTS:
+    if up * _kernels.RESAMPLER_TAPS > SIZE_LIMIT:
         raise InvalidSpec(
             f"cannot resample {source_rate} Hz to {target_rate_hz} Hz: the polyphase table would hold "
-            f"{up * _kernels.RESAMPLER_TAPS} coefficients, over the limit of {_MAX_POLYPHASE_COEFFICIENTS}"
+            f"{up * _kernels.RESAMPLER_TAPS} coefficients, over the limit of {SIZE_LIMIT}"
         )
     phase_taps = _design_polyphase(up, source_rate, target_rate_hz)
 
     n_out = -(-len(buffer) * up // down)
     y = _kernels.polyphase_filter(buffer.samples, phase_taps, up, down, n_out)
     return AudioBuffer(y, target_rate_hz)
+
+
+def sample_count(name: str, seconds: float, sample_rate_hz: int) -> int:
+    """round(seconds * rate); InvalidSpec names the setting unless that product is at most SIZE_LIMIT."""
+    count = seconds * sample_rate_hz
+    if not count <= SIZE_LIMIT:  # also NaN, infinity, and a finite length that overflows here
+        raise InvalidSpec(f"{name} of {seconds} s at {sample_rate_hz} Hz must come to at most {SIZE_LIMIT} samples")
+    return int(round(count))
 
 
 def load_at_rate(path: str | Path, sample_rate_hz: int) -> AudioBuffer:
@@ -360,12 +370,13 @@ def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     """Rows of `win` samples starting every `hop` samples, as a read-only view.
 
     There are ceil(len / hop) rows and the tail is zero padded, so every
-    sample lands in at least one row.
+    sample lands in at least one row when hop <= win; a longer hop skips
+    the samples between rows.
     """
     n = samples.shape[0]
     n_frames = -(-n // hop)
     xpad = np.zeros((n_frames - 1) * hop + win)
-    xpad[:n] = samples
+    xpad[:n] = samples[: xpad.size]
     return sliding_window_view(xpad, win)[::hop]
 
 

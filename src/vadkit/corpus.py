@@ -14,13 +14,12 @@ Every clip gets a `<stem>.labels.json` sidecar and the set is indexed by
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
 
 from .artifacts import make_output_dir, write_json
-from .audio_io import AudioBuffer, write_wav
+from .audio_io import AudioBuffer, sample_count, write_wav
 from .errors import InvalidSpec
 from .evaluate import LabeledClip, save_manifest
 from .mixing import MixSpec, mix
@@ -106,13 +105,13 @@ def generate_corpus(
     clip_duration_s: float = 4.0,
 ) -> list[LabeledClip]:
     """Write the corpus under out_dir and return its clips in manifest order."""
-    if not math.isfinite(clip_duration_s):
-        raise InvalidSpec(f"clip_duration_s must be finite, got {clip_duration_s}")
+    if seed < 0:  # numpy's seeding raises a plain ValueError, after the directory exists
+        raise InvalidSpec(f"seed must be non-negative, got {seed}")
+    n = sample_count("clip_duration_s", clip_duration_s, sample_rate_hz)
     if clip_duration_s < max(g[-1][1] for g in (_GATES_A, _GATES_B)):
         raise InvalidSpec(f"clip duration {clip_duration_s} s too short for the gate schedule")
     make_output_dir(out_dir)
     rng = np.random.default_rng(seed)
-    n = int(round(clip_duration_s * sample_rate_hz))
     fs = sample_rate_hz
 
     white = _white_noise(rng, n)

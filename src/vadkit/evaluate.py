@@ -19,7 +19,7 @@ from .artifacts import field_dict, json_number, read_json, write_json, write_tab
 from .audio_io import load_at_rate
 from .errors import LabelOutOfRange, SweepFailure, VadKitError
 from .filters import BiquadCascade, apply_cascade
-from .vad import VadConfig, VadResult, config_to_dict, detect_prefiltered
+from .vad import VadConfig, VadResult, config_to_dict, frame_energies
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ class SweepResult:
     best: GridPoint
 
 
-def truth_frame_flags(result: VadResult, clip: LabeledClip) -> np.ndarray:
-    """Boolean ground truth per detector frame via the half-overlap rule."""
-    window = result.config.window_length_s
-    starts = result.frames.start_s
+def truth_frame_flags(starts: np.ndarray, window: float, clip: LabeledClip) -> np.ndarray:
+    """Boolean ground truth per frame (start times in s, window in s) via the half-overlap rule."""
     clip_end = float(starts[-1]) + window if len(starts) else 0.0
     for start, end in clip.speech_intervals:
         if end > clip_end + window:
@@ -116,16 +114,9 @@ def _confusion_counts(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 
 def score(result: VadResult, clip: LabeledClip) -> EvalReport:
-    counts = _confusion_counts(result.frames.is_speech, truth_frame_flags(result, clip))
+    truth = truth_frame_flags(result.frames.start_s, result.config.window_length_s, clip)
+    counts = _confusion_counts(result.frames.is_speech, truth)
     return EvalReport.from_counts(*counts.tolist(), result.config)
-
-
-def combine_reports(reports, config: VadConfig) -> EvalReport:
-    tp = sum(r.tp for r in reports)
-    fp = sum(r.fp for r in reports)
-    tn = sum(r.tn for r in reports)
-    fn = sum(r.fn for r in reports)
-    return EvalReport.from_counts(tp, fp, tn, fn, config)
 
 
 def load_manifest(path) -> list[LabeledClip]:
@@ -174,8 +165,8 @@ def _parallel_map(fn, args: list[tuple], jobs: int) -> list:
 def _clip_counts(clip: LabeledClip, cascade: BiquadCascade, configs, thresholds_db) -> np.ndarray:
     """Confusion counts of one clip, shape (config, 4, threshold).
 
-    The clip is read, resampled and bandpassed once; the detector runs once
-    per config, and every threshold is scored from that run's SNR column.
+    The clip is read, resampled and bandpassed once; `frame_energies` runs
+    once per config, and every threshold is scored from its SNR column.
     A failure in detection or scoring names the clip and the window.
     """
     buffer = apply_cascade(cascade, load_at_rate(clip.audio_path, cascade.spec.sample_rate_hz))
@@ -183,8 +174,9 @@ def _clip_counts(clip: LabeledClip, cascade: BiquadCascade, configs, thresholds_
     counts = []
     for config in configs:
         try:
-            result = detect_prefiltered(buffer, config)
-            counts.append(_confusion_counts(result.frames.snr_db >= thresholds, truth_frame_flags(result, clip)))
+            energies, floor_db = frame_energies(buffer, config)
+            truth = truth_frame_flags(np.arange(len(energies)) * config.hop_s, config.window_length_s, clip)
+            counts.append(_confusion_counts(energies - floor_db >= thresholds, truth))
         except VadKitError as exc:
             raise type(exc)(f"clip {clip.audio_path}, window {config.window_length_s} s: {exc}") from exc
     return np.array(counts)
@@ -194,12 +186,13 @@ def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int =
     """Score every clip under one config.
 
     Returns (aggregate report, list of (clip, per-clip report)). Results are
-    ordered by the input clip list regardless of job count.
+    ordered by the input clip list regardless of job count. The aggregate
+    sums the per-clip counts, as `sweep` does.
     """
     args = [(clip, cascade, [config], [config.snr_threshold_db]) for clip in clips]
-    counts = _parallel_map(_clip_counts, args, jobs)
-    reports = [EvalReport.from_counts(*clip_counts[0, :, 0].tolist(), config) for clip_counts in counts]
-    return combine_reports(reports, config), list(zip(clips, reports))
+    counts = _parallel_map(_clip_counts, args, jobs)  # per clip: (1 config, 4, 1 threshold)
+    aggregate, *reports = [EvalReport.from_counts(*c[0, :, 0].tolist(), config) for c in [sum(counts), *counts]]
+    return aggregate, list(zip(clips, reports))
 
 
 def sweep(
@@ -213,8 +206,8 @@ def sweep(
     """Grid search over window length and SNR threshold.
 
     Every grid value is checked first. Each clip is then scored in one
-    `_clip_counts` call (over `jobs` processes), which runs the detector once
-    per window and scores every threshold. Best point maximizes F1, ties
+    `_clip_counts` call (over `jobs` processes), which takes frame energies
+    once per window and scores every threshold. Best point maximizes F1, ties
     broken by lower threshold, then shorter window.
     """
     windows_s = [float(w) for w in windows_s]

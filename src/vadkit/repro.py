@@ -19,7 +19,7 @@ from .config import CliConfig
 from .corpus import generate_corpus
 from .filters import apply_cascade, design_butterworth_bandpass
 from .mixing import MixSpec, mix
-from .spectrogram import spectrogram, to_json_dict, write_pgm
+from .spectrogram import check_fft, spectrogram, to_json_dict, write_pgm
 from .vad import detect_prefiltered, frames_to_csv, result_to_dict
 
 
@@ -42,6 +42,10 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
     # Validate every setting before the first file is written.
     mix_spec = MixSpec(target_snr_db=snr_db, normalize_peak=0.9)
     vad_config = config.vad_config()
+    vad_config.window_samples(config.sample_rate_hz)
+    vad_config.hop_samples(config.sample_rate_hz)
+    check_fft(config.fft_size, config.spectrogram_hop)
+    cascade = design_butterworth_bandpass(config.filter_spec())
     make_output_dir(out_dir)
     written: list[str] = []
 
@@ -53,7 +57,6 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
     ambient, _ = read_wav(by_name["ambient_white.wav"].audio_path)
 
     mixed = mix(speech, ambient, mix_spec)
-    cascade = design_butterworth_bandpass(config.filter_spec())
     filtered = apply_cascade(cascade, mixed)
     result = detect_prefiltered(filtered, vad_config)
 

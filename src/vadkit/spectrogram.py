@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import open_output, write_table
-from .audio_io import AudioBuffer, frame_samples
+from .audio_io import SIZE_LIMIT, AudioBuffer, frame_samples
 from .errors import EmptySignal, InvalidFft
 
 DB_FLOOR = -120.0
@@ -49,11 +49,18 @@ def hann_window(size: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(size) / size)
 
 
-def spectrogram(buffer: AudioBuffer, fft_size: int = 1024, hop_samples: int = 512) -> SpectrogramMatrix:
+def check_fft(fft_size: int, hop_samples: int) -> None:
+    """InvalidFft unless fft_size is a power of two up to SIZE_LIMIT and hop_samples is positive."""
     if fft_size <= 0 or fft_size & (fft_size - 1) != 0:
         raise InvalidFft(f"fft size must be a power of two, got {fft_size}")
+    if fft_size > SIZE_LIMIT:
+        raise InvalidFft(f"fft size {fft_size} is over the limit of {SIZE_LIMIT} samples")
     if hop_samples <= 0:
-        raise InvalidFft(f"hop must be positive, got {hop_samples}")
+        raise InvalidFft(f"spectrogram hop must be positive, got {hop_samples}")
+
+
+def spectrogram(buffer: AudioBuffer, fft_size: int = 1024, hop_samples: int = 512) -> SpectrogramMatrix:
+    check_fft(fft_size, hop_samples)
     if len(buffer) == 0:
         raise EmptySignal("cannot take a spectrogram of an empty signal")
     frames = frame_samples(buffer.samples, fft_size, hop_samples) * hann_window(fft_size)

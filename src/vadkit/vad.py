@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import field_dict, write_table
-from .audio_io import AudioBuffer, frame_samples
+from .audio_io import AudioBuffer, frame_samples, sample_count
 from .errors import EmptySignal, InvalidSpec, NoFrames
 from .filters import BiquadCascade, apply_cascade
 
@@ -50,17 +50,10 @@ class VadConfig:
         return self.window_length_s if self.hop_length_s is None else self.hop_length_s
 
     def window_samples(self, sample_rate_hz: int) -> int:
-        return _sample_count("window_length_s", self.window_length_s, sample_rate_hz)
+        return max(1, sample_count("window_length_s", self.window_length_s, sample_rate_hz))
 
     def hop_samples(self, sample_rate_hz: int) -> int:
-        return _sample_count("hop_length_s", self.hop_s, sample_rate_hz)
-
-
-def _sample_count(name: str, seconds: float, sample_rate_hz: int) -> int:
-    count = seconds * sample_rate_hz
-    if not math.isfinite(count):  # a finite length can still overflow here
-        raise InvalidSpec(f"{name} of {seconds} s has no finite sample count at {sample_rate_hz} Hz")
-    return max(1, int(round(count)))
+        return max(1, sample_count("hop_length_s", self.hop_s, sample_rate_hz))
 
 
 # One record per frame; `VadResult.frames` is a recarray of this dtype, so
@@ -139,15 +132,19 @@ def merge_intervals(frames: np.recarray, config: VadConfig) -> tuple[tuple[float
     )
 
 
+def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
+    """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference."""
+    energies = _frame_energies_db(frame_signal(buffer, config), config.energy_floor)
+    return energies, estimate_noise_floor_db(energies, config)
+
+
 def detect_prefiltered(buffer: AudioBuffer, config: VadConfig) -> VadResult:
-    """Run framing, noise-floor estimation, and thresholding.
+    """Threshold the frame SNRs of `frame_energies` and merge speech runs.
 
     The buffer is taken as already bandpassed; `detect` is the entry point
     that includes the filter stage.
     """
-    frames = frame_signal(buffer, config)
-    energies = _frame_energies_db(frames, config.energy_floor)
-    floor_db = estimate_noise_floor_db(energies, config)
+    energies, floor_db = frame_energies(buffer, config)
     index = np.arange(len(energies))
     snr = energies - floor_db
     records = np.rec.fromarrays(

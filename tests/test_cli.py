@@ -221,6 +221,17 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         (_MIX, '{"speech_intervals": [["0.5", "1.5"]]}', "bad.json: expected a number"),
         # Refused from the rate pair, before the 2**31-phase table is allocated.
         (["detect", "z.wav", "--sample-rate", "2147483647"], None, "16000 Hz to 2147483647 Hz"),
+        # Just over the 2**24-sample limit, refused before the array is allocated.
+        (["detect", "z.wav", "--window", "1048.6"], None, "window_length_s of 1048.6 s"),
+        (["spectrogram", "z.wav", "--fft-size", "33554432"], None, "fft size 33554432"),
+        (["gen-corpus", "--out-dir", "corpus", "--duration", "1048.6"], None, "clip_duration_s of 1048.6 s"),
+        (["gen-corpus", "--out-dir", "corpus", "--seed", "-1"], None, "seed"),
+        # repro-figures checks every setting before its first file.
+        (["repro-figures", "--out-dir", "figs", "--fft-size", "1000"], None, "fft size"),
+        (["repro-figures", "--out-dir", "figs", "--fft-size", "33554432"], None, "fft size 33554432"),
+        (["repro-figures", "--out-dir", "figs", "--spectrogram-hop", "0"], None, "spectrogram hop"),
+        (["repro-figures", "--out-dir", "figs", "--window", "1048.6"], None, "window_length_s"),
+        (["repro-figures", "--out-dir", "figs", "--order", "3"], None, "order"),
     ],
     ids=[
         "eval-missing-manifest",
@@ -263,6 +274,15 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         "mix-labels-boolean-interval",
         "mix-labels-string-interval",
         "detect-resample-table-too-large",
+        "detect-window-over-size-limit",
+        "spectrogram-fft-over-size-limit",
+        "gen-corpus-duration-over-size-limit",
+        "gen-corpus-negative-seed",
+        "repro-fft-not-power-of-two",
+        "repro-fft-over-size-limit",
+        "repro-spectrogram-hop-zero",
+        "repro-window-over-size-limit",
+        "repro-odd-order",
     ],
 )
 def test_bad_input_exits_2(argv, bad_file, field, capsys, chdir_tmp):

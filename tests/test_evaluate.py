@@ -1,11 +1,13 @@
 """Scoring rules, report arithmetic, manifests, and the sweep harness."""
 
 import collections
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vadkit import (
     EvalReport,
@@ -13,6 +15,7 @@ from vadkit import (
     LabeledClip,
     VadConfig,
     VadResult,
+    apply_cascade,
     design_butterworth_bandpass,
     evaluate_clips,
     load_manifest,
@@ -21,8 +24,9 @@ from vadkit import (
     sweep,
 )
 from vadkit.errors import LabelOutOfRange, SweepFailure
-from vadkit.evaluate import combine_reports, sweep_to_csv
-from vadkit.vad import FRAME_DTYPE, merge_intervals
+from vadkit.audio_io import load_at_rate
+from vadkit.evaluate import _clip_counts, sweep_to_csv
+from vadkit.vad import FRAME_DTYPE, detect_prefiltered, merge_intervals
 
 
 def _result_from_flags(flags, window_s=0.31):
@@ -125,19 +129,6 @@ def test_label_past_clip_end():
     predicted = _result_from_flags([True] * 4)
     with pytest.raises(LabelOutOfRange):
         score(predicted, truth)
-
-
-def test_combine_is_permutation_invariant():
-    config = VadConfig()
-    reports = [
-        EvalReport.from_counts(3, 1, 5, 1, config),
-        EvalReport.from_counts(0, 0, 9, 0, config),
-        EvalReport.from_counts(7, 2, 1, 2, config),
-    ]
-    merged = combine_reports(reports, config)
-    for perm in itertools.permutations(reports):
-        assert combine_reports(list(perm), config) == merged
-    assert merged.tp + merged.fp + merged.tn + merged.fn == 31
 
 
 def test_manifest_round_trip(tmp_path):
@@ -264,12 +255,50 @@ def test_evaluate_clips_parallel_matches_serial(corpus_dir):
     assert agg1.tp + agg1.fp + agg1.tn + agg1.fn == total_frames
 
 
+def test_evaluate_clips_aggregate_is_order_invariant_sum(corpus_dir):
+    clips, cascade = _sweep_fixture(corpus_dir)
+    config = VadConfig(snr_threshold_db=9.0)
+    aggregate, per_clip = evaluate_clips(clips[3:6], cascade, config)
+    fields = ("tp", "fp", "tn", "fn")
+    assert [getattr(aggregate, f) for f in fields] == [sum(getattr(r, f) for _, r in per_clip) for f in fields]
+    assert aggregate.tp and aggregate.fp and aggregate.tn
+    for order in itertools.permutations(clips[3:6]):
+        assert evaluate_clips(order, cascade, config)[0] == aggregate
+
+
+@pytest.fixture(scope="module")
+def filtered_clips(corpus_dir):
+    clips, cascade = _sweep_fixture(corpus_dir)
+    rate = cascade.spec.sample_rate_hz
+    return cascade, [(clip, apply_cascade(cascade, load_at_rate(clip.audio_path, rate))) for clip in clips]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.integers(0, 12),
+    windows=st.lists(st.floats(0.005, 5.0), min_size=1, max_size=3),
+    hop_fraction=st.none() | st.floats(0.05, 1.0),
+    thresholds=st.lists(st.just(0.0) | st.floats(-20.0, 120.0), min_size=1, max_size=6),
+)
+def test_energy_column_scoring_matches_full_detection(filtered_clips, index, windows, hop_fraction, thresholds):
+    """`_clip_counts` scores each threshold as `score(detect_prefiltered(...))` does for that threshold."""
+    cascade, pairs = filtered_clips
+    clip, filtered = pairs[index]
+    configs = [VadConfig(window_length_s=w, hop_length_s=None if hop_fraction is None else w * hop_fraction)
+               for w in windows]
+    counts = _clip_counts(clip, cascade, configs, thresholds)
+    for config, config_counts in zip(configs, counts):
+        for threshold, column in zip(thresholds, config_counts.T.tolist()):
+            report = score(detect_prefiltered(filtered, dataclasses.replace(config, snr_threshold_db=threshold)), clip)
+            assert column == [report.tp, report.fp, report.tn, report.fn], (config, threshold)
+
+
 def test_each_clip_is_filtered_once_and_detected_once_per_window(corpus_dir, monkeypatch):
     from vadkit import evaluate
 
     clips, cascade = _sweep_fixture(corpus_dir)
     calls = collections.Counter()
-    for name in ("apply_cascade", "detect_prefiltered"):
+    for name in ("apply_cascade", "frame_energies"):
 
         def counted(*args, _name=name, _original=getattr(evaluate, name)):
             calls[_name] += 1
@@ -277,10 +306,10 @@ def test_each_clip_is_filtered_once_and_detected_once_per_window(corpus_dir, mon
 
         monkeypatch.setattr(evaluate, name, counted)
     sweep(clips[:3], [0.155, 0.31], [6.0, 12.0, 20.0], cascade)
-    assert calls == {"apply_cascade": 3, "detect_prefiltered": 6}
+    assert calls == {"apply_cascade": 3, "frame_energies": 6}
     calls.clear()
     evaluate_clips(clips[:3], cascade, VadConfig())
-    assert calls == {"apply_cascade": 3, "detect_prefiltered": 3}
+    assert calls == {"apply_cascade": 3, "frame_energies": 3}
 
 
 def test_sweep_csv_format(corpus_dir, tmp_path):

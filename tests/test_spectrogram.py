@@ -38,6 +38,16 @@ def test_frame_count_and_padding():
         assert m.bin_count == 513
 
 
+def test_hop_longer_than_fft_skips_samples_between_frames():
+    x = np.random.default_rng(0).standard_normal(100)
+    m = spectrogram(AudioBuffer(x, 16000), fft_size=16, hop_samples=40)
+    assert m.frame_count == 3
+    frames = [x[0:16], x[40:56], x[80:96]]
+    floor = 10.0 ** (DB_FLOOR / 20.0)
+    expected = [20.0 * np.log10(np.maximum(np.abs(np.fft.rfft(f * hann_window(16))), floor)) for f in frames]
+    np.testing.assert_array_equal(m.magnitudes_db, expected)
+
+
 def test_silence_sits_at_floor():
     m = spectrogram(AudioBuffer(np.zeros(2048), 16000))
     assert np.all(m.magnitudes_db == DB_FLOOR)
@@ -71,6 +81,8 @@ def test_validation():
         spectrogram(buf, fft_size=0)
     with pytest.raises(InvalidFft):
         spectrogram(buf, fft_size=1024, hop_samples=0)
+    with pytest.raises(InvalidFft, match="over the limit"):
+        spectrogram(buf, fft_size=2**25)
     with pytest.raises(EmptySignal):
         spectrogram(AudioBuffer(np.zeros(0), 16000))
 

@@ -62,6 +62,15 @@ def test_config_validation():
         VadConfig(window_length_s=1e305, hop_length_s=1e305).hop_samples(16000)
 
 
+def test_sample_counts_are_capped_at_2_pow_24():
+    # 1024 s at 16384 Hz is exactly 2**24 samples.
+    assert VadConfig(window_length_s=1024.0).window_samples(16384) == 2**24
+    with pytest.raises(InvalidSpec, match="window_length_s of 1024.001 s"):
+        VadConfig(window_length_s=1024.001).window_samples(16384)
+    with pytest.raises(InvalidSpec, match="hop_length_s of 1024.001 s"):
+        VadConfig(window_length_s=2000.0, hop_length_s=1024.001).hop_samples(16384)
+
+
 def test_frame_count_is_ceil():
     fs = 16000
     config = VadConfig()

@@ -74,6 +74,10 @@ COMMANDS = [
                            "--threshold", "12"]),
     ("sweep-44k", ["sweep", "--manifest", "corpus44/manifest.json", "--windows", "0.155,0.31",
                    "--thresholds", "6,12,20", "--out", "sweep_44k.json", "--csv", "sweep_44k.csv"]),
+    # A window longer than every 4 s clip: each clip is one zero-padded frame.
+    ("detect-w5", ["detect", _CLIP, "--out", "detect_w5.json", "--frames-csv", "detect_w5.csv",
+                   "--window", "5", "--threshold", "0"]),
+    ("eval-w5", ["eval", "--manifest", _MANIFEST, "--window", "5", "--threshold", "0", "--out", "eval_w5.json"]),
 ]
 
 
