@@ -360,10 +360,7 @@ def _design_polyphase(up: int, source_rate: int, target_rate_hz: int) -> np.ndar
     cutoff = min(1.0, target_rate_hz / source_rate)  # x input Nyquist
     h = cutoff * np.sinc(cutoff * t) * np.kaiser(n, _KAISER_BETA)
     h /= h.sum()
-    phase_taps = np.empty((up, taps))
-    for p in range(up):
-        phase_taps[p] = h[p::up] * up
-    return phase_taps
+    return h.reshape(taps, up).T * up  # row p holds h[p::up]
 
 
 def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:

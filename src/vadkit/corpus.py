@@ -98,6 +98,16 @@ def _write_clip(out_dir: str, name: str, samples, sample_rate_hz, intervals, not
     return clip
 
 
+def corpus_clip_samples(seed: int, sample_rate_hz: int = 16000, clip_duration_s: float = 4.0) -> int:
+    """Samples per corpus clip; InvalidSpec for a setting `generate_corpus` cannot use."""
+    if seed < 0:  # numpy's seeding raises a plain ValueError
+        raise InvalidSpec(f"seed must be non-negative, got {seed}")
+    n = sample_count("clip_duration_s", clip_duration_s, sample_rate_hz)
+    if clip_duration_s < max(g[-1][1] for g in (_GATES_A, _GATES_B)):
+        raise InvalidSpec(f"clip duration {clip_duration_s} s too short for the gate schedule")
+    return n
+
+
 def generate_corpus(
     seed: int,
     out_dir: str,
@@ -105,11 +115,7 @@ def generate_corpus(
     clip_duration_s: float = 4.0,
 ) -> list[LabeledClip]:
     """Write the corpus under out_dir and return its clips in manifest order."""
-    if seed < 0:  # numpy's seeding raises a plain ValueError, after the directory exists
-        raise InvalidSpec(f"seed must be non-negative, got {seed}")
-    n = sample_count("clip_duration_s", clip_duration_s, sample_rate_hz)
-    if clip_duration_s < max(g[-1][1] for g in (_GATES_A, _GATES_B)):
-        raise InvalidSpec(f"clip duration {clip_duration_s} s too short for the gate schedule")
+    n = corpus_clip_samples(seed, sample_rate_hz, clip_duration_s)
     make_output_dir(out_dir)
     rng = np.random.default_rng(seed)
     fs = sample_rate_hz

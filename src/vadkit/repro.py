@@ -16,7 +16,7 @@ import numpy as np
 from .artifacts import make_output_dir, write_json, write_json_rows, write_table
 from .audio_io import AudioBuffer, read_wav
 from .config import CliConfig
-from .corpus import generate_corpus
+from .corpus import corpus_clip_samples, generate_corpus
 from .filters import apply_cascade, design_butterworth_bandpass
 from .mixing import MixSpec, mix
 from .spectrogram import check_fft, spectrogram, to_json_dict, write_pgm
@@ -46,6 +46,7 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
     vad_config.hop_samples(config.sample_rate_hz)
     check_fft(config.fft_size, config.spectrogram_hop)
     cascade = design_butterworth_bandpass(config.filter_spec())
+    corpus_clip_samples(seed, config.sample_rate_hz)
     make_output_dir(out_dir)
     written: list[str] = []
 

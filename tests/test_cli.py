@@ -232,6 +232,8 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         (["repro-figures", "--out-dir", "figs", "--spectrogram-hop", "0"], None, "spectrogram hop"),
         (["repro-figures", "--out-dir", "figs", "--window", "1048.6"], None, "window_length_s"),
         (["repro-figures", "--out-dir", "figs", "--order", "3"], None, "order"),
+        (["repro-figures", "--out-dir", "figs", "--seed", "-1"], None, "seed"),
+        (["repro-figures", "--out-dir", "figs", "--sample-rate", "10000000"], None, "clip_duration_s of 4.0 s"),
     ],
     ids=[
         "eval-missing-manifest",
@@ -283,6 +285,8 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         "repro-spectrogram-hop-zero",
         "repro-window-over-size-limit",
         "repro-odd-order",
+        "repro-negative-seed",
+        "repro-clip-over-size-limit",
     ],
 )
 def test_bad_input_exits_2(argv, bad_file, field, capsys, chdir_tmp):

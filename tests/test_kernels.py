@@ -7,8 +7,10 @@ from naive_reference import naive_polyphase, naive_sos
 from vadkit import FilterSpec, _kernels, design_butterworth_bandpass
 
 # Both kernels sum in a different order than their loops, so they agree to
-# rounding, not bit for bit. The filter's error is relative to the largest
-# output sample.
+# rounding, not bit for bit: the filter sums each sub-block's products in
+# BLAS and carries a fused pair's state over whole rows, where the loop
+# steps one section one sample at a time. The filter's error is relative
+# to the largest output sample.
 RELATIVE_BOUND = 1e-12
 
 SOS_DESIGNS = (
@@ -18,8 +20,15 @@ SOS_DESIGNS = (
     (12, 300.0, 3400.0, 16000),
     (8, 300.0, 320.0, 48000),  # narrow band, poles near the unit circle
     (12, 1000.0, 1001.0, 16000),  # pole radius 0.99995
+    (6, 300.0, 1500.0, 16000),  # one fused pair and a lone section
 )
-SOS_LENGTHS = (0, 1, _kernels.BLOCK - 1, _kernels.BLOCK, _kernels.BLOCK + 1, 40000)
+ROW, SUB = _kernels.ROW, _kernels.SUB
+# Past 40000 the lengths straddle a row, end inside a sub-block after three
+# rows, and carry the state from one pass of the cascade's rows to the next.
+SOS_LENGTHS = (
+    0, 1, 127, 128, 129, 40000,
+    ROW - 1, ROW, ROW + 1, 3 * ROW + SUB + 5, _kernels._CASCADE_ROWS * ROW + 7,
+)
 
 
 def _coefficients(order, low, high, rate):
@@ -93,13 +102,14 @@ def test_kernels_are_deterministic():
     rng = np.random.default_rng(7)
     big = rng.standard_normal(50000)
     x = big[3:45003]  # starts 24 bytes into the buffer
-    b, a = _coefficients(4, 300.0, 1500.0, 16000)
-    first = _kernels.sos_filter(_kernels.sos_plan(b, a), x.copy()).tobytes()
-    plan = _kernels.sos_plan(b, a)
-    for _ in range(3):
-        assert _kernels.sos_filter(plan, x).tobytes() == first
-        assert _kernels.sos_filter(plan, x.copy()).tobytes() == first
-        assert _kernels.sos_filter(_kernels.sos_plan(b, a), x).tobytes() == first
+    for order in (4, 6):  # one fused pair; a pair and a lone section
+        b, a = _coefficients(order, 300.0, 1500.0, 16000)
+        first = _kernels.sos_filter(_kernels.sos_plan(b, a), x.copy()).tobytes()
+        plan = _kernels.sos_plan(b, a)
+        for _ in range(3):
+            assert _kernels.sos_filter(plan, x).tobytes() == first
+            assert _kernels.sos_filter(plan, x.copy()).tobytes() == first
+            assert _kernels.sos_filter(_kernels.sos_plan(b, a), x).tobytes() == first
 
     taps = rng.standard_normal((160, _kernels.RESAMPLER_TAPS))
     n_out = -(-x.size * 160 // 441)

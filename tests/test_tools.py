@@ -1,0 +1,63 @@
+"""tools/compare_artifacts.py sorts each file of two trees into one of three results."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_artifacts", Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
+)
+compare_artifacts = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_artifacts)
+
+
+def _tree(root: Path, files: dict) -> str:
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return str(root)
+
+
+def test_compare_reports_identical_floats_and_differs(tmp_path, capsys):
+    frames = {"is_speech": [0, 1], "energy_db": [-30.5, -12.25], "label": "a"}
+    moved = dict(frames, energy_db=[-30.5 + 2.0**-40, -12.25])  # exact: a multiple of the ulp at 30.5
+    parent = _tree(tmp_path / "p", {
+        "same.wav": b"RIFF\x00\x01",
+        "floats.json": json.dumps(frames),
+        "floats.csv": "index,energy_db,is_speech\n0,-30.5,0\n1,-12.25,1\n",
+        "flag.csv": "index,energy_db,is_speech\n0,-30.5,0\n",
+        "bytes.pgm": b"P5 1 1 255\n\x10",
+        "gone.json": "{}",
+    })
+    change = _tree(tmp_path / "c", {
+        "same.wav": b"RIFF\x00\x01",
+        "floats.json": json.dumps(moved),
+        "floats.csv": "index,energy_db,is_speech\n0,-30.499999999999986,0\n1,-12.25,1\n",
+        "flag.csv": "index,energy_db,is_speech\n0,-30.5,1\n",
+        "bytes.pgm": b"P5 1 1 255\n\x11",
+        "new.json": "{}",
+    })
+    assert compare_artifacts.main([parent, change]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    results = {line.split()[1]: line.split()[0] for line in lines[:-1]}
+    assert results == {
+        "bytes.pgm": "differs",
+        "flag.csv": "differs",
+        "floats.csv": "floats",
+        "floats.json": "floats",
+        "gone.json": "differs",
+        "new.json": "differs",
+        "same.wav": "identical",
+    }
+    assert "energy_db[] 9.1e-13 (at -30.5)" in next(line for line in lines if "floats.json" in line)
+    assert lines[-1] == "1 identical, 2 floats, 4 differs"
+
+
+def test_compare_exits_0_when_only_floats_move(tmp_path):
+    parent = _tree(tmp_path / "p", {"d.json": '{"snr_db": 0.18100914155157, "n": 3}'})
+    change = _tree(tmp_path / "c", {"d.json": '{"snr_db": 0.18100914155158, "n": 3}'})
+    assert compare_artifacts.main([parent, change]) == 0
+    parent = _tree(tmp_path / "p2", {"d.json": '{"snr_db": 0.5, "n": 3}'})
+    change = _tree(tmp_path / "c2", {"d.json": '{"snr_db": 0.5, "n": 4}'})
+    assert compare_artifacts.main([parent, change]) == 1

@@ -15,10 +15,18 @@ Two checkouts write the same bytes when their outputs are identical:
     PYTHONPATH=src python3 tools/artifact_digests.py > change.txt
     PYTHONPATH=../parent/src python3 tools/artifact_digests.py > parent.txt
     diff parent.txt change.txt
+
+With --keep DIR the commands run in DIR, a new directory, which keeps the
+files; `tools/compare_artifacts.py` then says how two such trees differ:
+
+    PYTHONPATH=../parent/src python3 tools/artifact_digests.py --keep /tmp/parent
+    PYTHONPATH=src python3 tools/artifact_digests.py --keep /tmp/change
+    python3 tools/compare_artifacts.py /tmp/parent /tmp/change
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -136,16 +144,29 @@ def digests(root: str):
             yield digest, os.path.relpath(path, root)
 
 
-def main_digests() -> int:
+def print_digests(root: str) -> None:
     start = os.getcwd()
-    with tempfile.TemporaryDirectory() as root:
-        os.chdir(root)
-        try:
-            run_commands(root)
-        finally:
-            os.chdir(start)
-        for digest, rel in digests(root):
-            print(f"{digest}  {rel}")
+    os.chdir(root)
+    try:
+        run_commands(root)
+    finally:
+        os.chdir(start)
+    for digest, rel in digests(root):
+        print(f"{digest}  {rel}")
+
+
+def main_digests(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--keep", metavar="DIR", help="run in DIR, a new directory, and keep the files there")
+    args = parser.parse_args(argv)
+    if args.keep is None:
+        with tempfile.TemporaryDirectory() as root:
+            print_digests(root)
+    elif os.path.exists(args.keep):
+        parser.error(f"--keep {args.keep}: already exists")
+    else:
+        os.makedirs(args.keep)
+        print_digests(os.path.abspath(args.keep))
     return 0
 
 
