@@ -318,8 +318,6 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     source_rate = buffer.sample_rate_hz
     if target_rate_hz == source_rate:
         return AudioBuffer(buffer.samples, source_rate)
-    if len(buffer) == 0:
-        return AudioBuffer(np.zeros(0), target_rate_hz)
 
     g = math.gcd(source_rate, target_rate_hz)
     up = target_rate_hz // g

@@ -69,9 +69,8 @@ def cmd_detect(args) -> int:
     out = args.out or os.path.splitext(args.input)[0] + ".vad.json"
     _refuse_overwrites(args, out, args.frames_csv)
     config = _effective_config(args)
-    buffer = load_at_rate(args.input, config.sample_rate_hz)
     cascade = design_butterworth_bandpass(config.filter_spec())
-    result = detect(buffer, cascade, config.vad_config())
+    result = detect(load_at_rate(args.input, config.sample_rate_hz), cascade, config.vad_config())
 
     payload = result_to_dict(result)
     payload["effective_config"] = config.to_dict()

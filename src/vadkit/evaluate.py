@@ -89,28 +89,26 @@ class SweepResult:
 def truth_frame_flags(starts: np.ndarray, window: float, clip: LabeledClip) -> np.ndarray:
     """Boolean ground truth per frame (start times in s, window in s) via the half-overlap rule."""
     clip_end = float(starts[-1]) + window if len(starts) else 0.0
+    ends = starts + window
+    covered = np.zeros(len(starts))
     for start, end in clip.speech_intervals:
         if end > clip_end + window:
             raise LabelOutOfRange(
                 f"interval ({start}, {end}) runs past the clip end ({clip_end:.3f} s) in {clip.audio_path}"
             )
-    ends = starts + window
-    covered = np.zeros(len(starts))
-    for start, end in clip.speech_intervals:
         covered += np.maximum(0.0, np.minimum(ends, end) - np.maximum(starts, start))
     return covered >= 0.5 * window
 
 
 def _confusion_counts(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """(tp, fp, tn, fn) along the first axis, each summed over the frame axis."""
-    return np.stack(
-        [
-            np.sum(predicted & truth, axis=-1),
-            np.sum(predicted & ~truth, axis=-1),
-            np.sum(~predicted & ~truth, axis=-1),
-            np.sum(~predicted & truth, axis=-1),
-        ]
-    )
+    """(tp, fp, tn, fn) along the first axis, each summed over the frame axis.
+
+    Only tp needs a product; the rest follow from the flagged and speech totals.
+    """
+    tp = np.sum(predicted & truth, axis=-1)
+    flagged = np.sum(predicted, axis=-1)
+    speech = np.sum(truth, axis=-1)
+    return np.stack([tp, flagged - tp, truth.shape[-1] - flagged - speech + tp, speech - tp])
 
 
 def score(result: VadResult, clip: LabeledClip) -> EvalReport:
@@ -200,7 +198,7 @@ def sweep(
     windows_s,
     thresholds_db,
     cascade: BiquadCascade,
-    base_config: VadConfig | None = None,
+    base_config: VadConfig = VadConfig(),
     jobs: int = 1,
 ) -> SweepResult:
     """Grid search over window length and SNR threshold.
@@ -214,8 +212,6 @@ def sweep(
     thresholds_db = [float(t) for t in thresholds_db]
     if not clips or not windows_s or not thresholds_db:
         raise SweepFailure("sweep needs at least one clip, window, and threshold")
-    if base_config is None:
-        base_config = VadConfig()
     points = []
     for window_s, threshold_db in itertools.product(windows_s, thresholds_db):
         values = {"window_length_s": window_s, "snr_threshold_db": threshold_db, "hop_length_s": None}

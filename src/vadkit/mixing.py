@@ -22,10 +22,11 @@ class MixSpec:
     def __post_init__(self):
         if (self.target_snr_db is None) == (self.ambient_gain is None):
             raise InvalidSpec("set exactly one of target_snr_db and ambient_gain")
-        for name in ("target_snr_db", "ambient_gain"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InvalidSpec(f"{name} must be finite, got {value}")
+        # 3000 dB is a power ratio of 1e300, near the end of the float range.
+        if self.target_snr_db is not None and not abs(self.target_snr_db) <= 3000:
+            raise InvalidSpec(f"target_snr_db must lie within -3000 to 3000 dB, got {self.target_snr_db}")
+        if self.ambient_gain is not None and not math.isfinite(self.ambient_gain):
+            raise InvalidSpec(f"ambient_gain must be finite, got {self.ambient_gain}")
         if self.ambient_gain is not None and self.ambient_gain < 0:
             raise InvalidSpec(f"ambient gain must be >= 0, got {self.ambient_gain}")
         if self.normalize_peak is not None and not 0 < self.normalize_peak <= 1:

@@ -85,22 +85,10 @@ def frame_signal(buffer: AudioBuffer, config: VadConfig) -> np.ndarray:
 
 def frame_energy_db(frame: np.ndarray, energy_floor: float = VadConfig.energy_floor) -> float:
     """Mean-square frame energy in dB, clamped below by the floor."""
-    return float(_frame_energies_db(np.asarray(frame, dtype=float)[None, :], energy_floor)[0])
-
-
-def _frame_energies_db(frames: np.ndarray, energy_floor: float) -> np.ndarray:
-    # Rows are squared in blocks of at most 32 KiB, under glibc's 64 KiB
-    # threshold for trimming the heap on free: a clip-sized temporary, freed
-    # at the top of the heap, is handed back to the system and faulted in
-    # again by the next detection. The log stays scalar, because np.log10
-    # can differ from math.log10 by one ulp. add.reduce then a division by the
-    # width is what np.mean does, without its Python-level wrapper per block.
-    width = frames.shape[1]
-    rows = max(1, 32768 // (frames.itemsize * width))
-    blocks = (
-        (np.add.reduce(np.square(frames[i : i + rows]), axis=1) / width).tolist() for i in range(0, len(frames), rows)
-    )
-    return np.array([10.0 * math.log10(max(power, energy_floor)) for block in blocks for power in block])
+    squares = np.square(np.asarray(frame, dtype=float))
+    if squares.size == 0:
+        raise EmptySignal("an empty frame has no energy")
+    return 10.0 * math.log10(max(np.add.reduce(squares) / squares.size, energy_floor))
 
 
 def estimate_noise_floor_db(energies_db: np.ndarray, config: VadConfig) -> float:
@@ -134,7 +122,12 @@ def merge_intervals(frames: np.recarray, config: VadConfig) -> tuple[tuple[float
 
 def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
     """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference."""
-    energies = _frame_energies_db(frame_signal(buffer, config), config.energy_floor)
+    # Framing the squares gives each frame's squares as one row, so one
+    # add.reduce per window sums every row pairwise, as np.mean does. The log
+    # stays scalar, because np.log10 can differ from math.log10 by one ulp.
+    squares = frame_signal(AudioBuffer(np.square(buffer.samples), buffer.sample_rate_hz), config)
+    powers = np.add.reduce(squares, axis=1) / squares.shape[1]
+    energies = np.array([10.0 * math.log10(max(power, config.energy_floor)) for power in powers.tolist()])
     return energies, estimate_noise_floor_db(energies, config)
 
 
@@ -163,7 +156,8 @@ def detect(buffer: AudioBuffer, cascade: BiquadCascade, config: VadConfig) -> Va
     """Full pipeline: bandpass the buffer, then classify frames."""
     if len(buffer) == 0:
         raise EmptySignal("cannot run detection on an empty signal")
-    return detect_prefiltered(apply_cascade(cascade, buffer), config)
+    buffer = apply_cascade(cascade, buffer)  # frees the unfiltered samples when the caller holds no reference
+    return detect_prefiltered(buffer, config)
 
 
 def config_to_dict(config: VadConfig) -> dict:

@@ -212,6 +212,23 @@ def _pcm_bytes(frames, bits):
     return q.view(np.uint8).reshape(-1, 8)[:, : bits // 8].tobytes()
 
 
+@pytest.mark.parametrize(
+    "fmt_body, data, error, message",
+    [  # format code 1 is PCM
+        (_fmt(1, 0, 16), b"", MalformedWav, "channel count 0"),
+        (_fmt(1, 1, 16, rate=0), b"\x00\x00", MalformedWav, "sample rate 0"),
+        (_fmt(1, 1, 8), b"\x80" * 4, UnsupportedFormat, "PCM with 8 bits"),
+        (_fmt(1, 2, 16), b"\x00" * 6, MalformedWav, "not a multiple of frame size 4"),
+    ],
+    ids=["no-channels", "rate-0", "pcm8", "partial-frame"],
+)
+def test_reader_refuses_bad_fmt_fields(tmp_path, fmt_body, data, error, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(_wav(fmt_body, data))
+    with pytest.raises(error, match=message):
+        read_wav(path)
+
+
 @pytest.mark.parametrize("channels", range(1, 11))
 def test_downmix_is_bit_identical_to_numpy_mean(tmp_path, channels):
     """Blocks and in-order sums give what one mean over every frame gives,
@@ -451,6 +468,13 @@ def test_resample_identity():
     out = resample(buf, 16000)
     assert out.sample_rate_hz == 16000
     assert np.array_equal(out.samples, buf.samples)
+
+
+@pytest.mark.parametrize("source, target", [(44100, 16000), (16000, 44100), (8000, 16000)])
+def test_resample_empty_in_empty_out_at_the_target_rate(source, target):
+    out = resample(AudioBuffer(np.zeros(0), source), target)
+    assert out.sample_rate_hz == target
+    assert out.samples.shape == (0,)
 
 
 def test_resample_rejects_bad_rate():

@@ -234,6 +234,12 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         (["repro-figures", "--out-dir", "figs", "--order", "3"], None, "order"),
         (["repro-figures", "--out-dir", "figs", "--seed", "-1"], None, "seed"),
         (["repro-figures", "--out-dir", "figs", "--sample-rate", "10000000"], None, "clip_duration_s of 4.0 s"),
+        # The SNR is refused before the corpus is written, not when its gain overflows.
+        (["repro-figures", "--out-dir", "figs", "--snr", "1e308"], None, "target_snr_db"),
+        (["repro-figures", "--out-dir", "figs", "--snr=-1e308"], None, "target_snr_db"),
+        (["repro-figures", "--out-dir", "figs", "--snr", "4000"], None, "target_snr_db"),
+        (["sweep", "--windows", ",", "--thresholds", "12", "--manifest", "bad.json"],
+         '[{"audio_path": "z.wav", "speech_intervals": []}]', "--windows expects at least one value"),
     ],
     ids=[
         "eval-missing-manifest",
@@ -287,6 +293,10 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         "repro-odd-order",
         "repro-negative-seed",
         "repro-clip-over-size-limit",
+        "repro-snr-overflows",
+        "repro-snr-underflows",
+        "repro-snr-over-3000-db",
+        "sweep-no-windows",
     ],
 )
 def test_bad_input_exits_2(argv, bad_file, field, capsys, chdir_tmp):
@@ -500,6 +510,23 @@ def test_spectrogram_formats(cli_corpus, tmp_path):
     pgm_out = tmp_path / "s.pgm"
     assert _run(["spectrogram", cli_corpus / "speech_a.wav", "--out", pgm_out, "--format", "pgm"]) == 0
     assert pgm_out.read_bytes().startswith(b"P5\n125 513\n255\n")
+
+
+def test_spectrogram_csv_has_a_row_per_frame_and_bin(chdir_tmp):
+    write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
+    assert _run(["spectrogram", "z.wav", "--format", "csv"]) == 0
+    lines = (chdir_tmp / "z.spec.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"time_s,freq_hz,magnitude_db"
+    assert lines[-1] == b""
+    assert len(lines) - 2 == 32 * 513  # 1 s at 16 kHz: 32 frames of 513 bins
+
+
+def test_mix_with_a_shorter_ambient_exits_2(capsys, chdir_tmp):
+    write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
+    write_wav(AudioBuffer(0.1 * np.sin(0.07 * np.arange(8000)), 16000), chdir_tmp / "short.wav")
+    assert _run(["mix", "z.wav", "short.wav", "--snr", "10", "--out", "m.wav"]) == 2
+    assert "shorter than speech" in capsys.readouterr().err
+    assert sorted(os.listdir(chdir_tmp)) == ["short.wav", "z.wav"]
 
 
 def test_config_file_and_flag_precedence(cli_corpus, tmp_path):

@@ -1,4 +1,5 @@
-"""tools/compare_artifacts.py sorts each file of two trees into one of three results."""
+"""tools/compare_artifacts.py sorts each file of two trees into one of three results;
+tools/bench_pairs.py summarizes paired benchmark runs."""
 
 import importlib.util
 import json
@@ -9,6 +10,11 @@ _SPEC = importlib.util.spec_from_file_location(
 )
 compare_artifacts = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_artifacts)
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
 
 
 def _tree(root: Path, files: dict) -> str:
@@ -61,3 +67,28 @@ def test_compare_exits_0_when_only_floats_move(tmp_path):
     parent = _tree(tmp_path / "p2", {"d.json": '{"snr_db": 0.5, "n": 3}'})
     change = _tree(tmp_path / "c2", {"d.json": '{"snr_db": 0.5, "n": 4}'})
     assert compare_artifacts.main([parent, change]) == 1
+
+
+def test_bench_pairs_summary_counts_wins_spread_and_bound():
+    parent, change = [10.0, 11.0, 12.0, 13.0], [9.0, 10.0, 12.0, 8.0]  # gains 1, 1, 0, 5
+    lower = bench_pairs.summarize(parent, change, "lower", 0.25)
+    assert lower["parent"] == {"median": 11.5, "q1": 10.75, "q3": 12.25, "n": 4}  # numpy's linear quartiles
+    assert lower["change"] == {"median": 9.5, "q1": 8.75, "q3": 10.5, "n": 4}
+    assert (lower["change_wins"], lower["ties"]) == (3, 1)
+    assert lower["parent_iqr"] == 1.5
+    assert lower["gain_beyond_parent_iqr"] is True  # 11.5 - 9.5 > 1.5
+    assert lower["within_bound"] is True
+    assert lower["median_change_ratio"] == 9.5 / 11.5 - 1.0
+    assert lower["parent_runs"] == parent and lower["change_runs"] == change
+
+    higher = bench_pairs.summarize(parent, change, "higher", 0.1)
+    assert (higher["change_wins"], higher["ties"]) == (0, 1)
+    assert higher["gain_beyond_parent_iqr"] is False
+    assert higher["within_bound"] is False  # 2.0 below the parent's median, over 10% of 11.5
+    assert bench_pairs.summarize(parent, change, "lower", None)["within_bound"] is None
+
+
+def test_bench_pairs_summary_of_one_pair():
+    one = bench_pairs.summarize([2.0], [2.0], "lower", 0.25)
+    assert one["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 1}
+    assert (one["change_wins"], one["ties"], one["gain_beyond_parent_iqr"], one["within_bound"]) == (0, 1, False, True)

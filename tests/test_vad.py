@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vadkit import (
     AudioBuffer,
@@ -14,6 +15,7 @@ from vadkit import (
     detect,
     detect_prefiltered,
     estimate_noise_floor_db,
+    frame_energies,
     frame_energy_db,
     frame_signal,
     merge_intervals,
@@ -21,7 +23,7 @@ from vadkit import (
 from vadkit.errors import EmptySignal, InvalidSpec, NoFrames
 from vadkit.vad import FRAME_DTYPE, frames_to_csv, result_to_dict
 
-from naive_reference import naive_quantile
+from naive_reference import naive_energy_db, naive_frames, naive_noise_floor_db, naive_quantile
 
 
 def test_config_defaults():
@@ -114,6 +116,31 @@ def test_frame_energy_values():
     t = np.arange(1600) / 16000
     tone = np.sin(2 * np.pi * 1000.0 * t)
     assert frame_energy_db(tone) == pytest.approx(10 * math.log10(0.5), abs=1e-3)
+    with pytest.raises(EmptySignal):
+        frame_energy_db(np.zeros(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    rate=st.integers(1000, 48000),
+    win=st.integers(1, 200),
+    hop_share=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    scale=st.sampled_from([0.0, 1e-6, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=600, rate=16000, win=160, hop_share=0.5, scale=1.0, seed=0)  # overlapping
+@example(n=600, rate=16000, win=160, hop_share=None, scale=1.0, seed=1)  # non-overlapping
+@example(n=30, rate=16000, win=200, hop_share=None, scale=1.0, seed=2)  # one window longer than the signal
+def test_frame_energies_match_the_loop_reference_bit_for_bit(n, rate, win, hop_share, scale, seed):
+    hop = None if hop_share is None else max(1, round(hop_share * win))
+    config = VadConfig(window_length_s=win / rate, hop_length_s=None if hop is None else hop / rate)
+    samples = scale * np.random.default_rng(seed).standard_normal(n)
+    energies, floor_db = frame_energies(AudioBuffer(samples, rate), config)
+    frames = naive_frames(samples, rate, config.window_length_s, config.hop_s)
+    expected = [naive_energy_db(frame, config.energy_floor) for frame in frames]
+    assert energies.tolist() == expected
+    assert floor_db == naive_noise_floor_db(expected, config.noise_percentile, config.energy_floor)
 
 
 def test_noise_floor_nearest_rank():
