@@ -213,8 +213,13 @@ def _pair_rows(pair, x, spare, state):
     return s1, s2, s3, s4
 
 
-def polyphase_filter(x, phase_taps, up, down, n_out):
+def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
     """y[n] = sum_k h[p,k] * x[m - k] with p/m derived from n*down; x reads as zero outside its ends.
+
+    x is the input as one array, or as an iterable of consecutive 1-D
+    blocks that hold n_in samples in all. A block is copied before the
+    next one is asked for, so a producer may reuse one array for every
+    block, and every block is read, even those past the last window.
 
     The +TAPS/2 bias keeps the output aligned with the input timeline.
     Output n = j*up + c reads the taps samples of x that start at
@@ -223,7 +228,13 @@ def polyphase_filter(x, phase_taps, up, down, n_out):
     few rows whose window crosses an end of x read a zero-extended copy.
     When down < taps no window fits in down samples; a group is then the
     whole row, and each product copies its windows.
+
+    Every group's products run in order of the input they end at, so the
+    input they read is held once: blocked input lives in a rolling window
+    of at most one product's span plus one block, and an array is read in
+    place.
     """
+    n = x.shape[0] if n_in is None else n_in
     taps = phase_taps.shape[1]
     first = taps // 2 - (taps - 1)  # the first windows start before x
     rows = -(-n_out // up)
@@ -231,6 +242,7 @@ def polyphase_filter(x, phase_taps, up, down, n_out):
     fits = (down - taps) * up // down + 1  # the most columns whose window spans at most down samples
     group = min(up, _GROUP_COLUMNS, fits) if fits > 0 else up
     k = np.arange(taps)[:, None]
+    products = []  # (input end, input start, band, rows, columns)
     for c0 in range(0, up, group):
         cols = np.arange(c0, min(up, c0 + group), dtype=np.int64)
         lead = cols * down // up  # where each column's taps sit in the row's window
@@ -239,22 +251,80 @@ def polyphase_filter(x, phase_taps, up, down, n_out):
         band[lead - lead[0] + (taps - 1) - k, np.arange(cols.size)] = phase_taps[cols * down % up].T
         offset = first + int(lead[0])
         lo = min(rows, max(0, -(offset // down)))  # rows before lo start left of x
-        hi = max(lo, min(rows, (x.shape[0] - width - offset) // down + 1))  # rows from hi end right of it
+        hi = max(lo, min(rows, (n - width - offset) // down + 1))  # rows from hi end right of it
         bounds = [0, lo, *range(lo + _CHUNK_ROWS, hi, _CHUNK_ROWS), hi, rows]
         for j0, j1 in zip(bounds, bounds[1:]):
             if j1 > j0:
-                seg = _zero_extended(x, offset + j0 * down, (j1 - j0 - 1) * down + width)
-                np.matmul(sliding_window_view(seg, width)[::down], band, out=y[j0:j1, c0 : c0 + cols.size])
+                start = offset + j0 * down
+                end = start + (j1 - j0 - 1) * down + width
+                products.append((end, start, band, slice(j0, j1), slice(c0, c0 + cols.size)))
+    products.sort(key=lambda product: product[0])
+    keep = n  # the first sample that this and every later product reads
+    keeps = []
+    for _, start, *_ in reversed(products):
+        keep = min(keep, max(start, 0))
+        keeps.append(keep)
+    window = _InputWindow(x, n, max((end - start for end, start, *_ in products), default=0))
+    for (end, start, band, j, c), keep in zip(products, reversed(keeps)):
+        seg = window.span(start, end, keep)
+        np.matmul(sliding_window_view(seg, band.shape[0])[::down], band, out=y[j, c])
+    window.drain()
     return y.reshape(-1)[:n_out]
 
 
-def _zero_extended(x, start, length):
-    """x[start : start + length] with zeros where it reaches past either end of x.
+class _InputWindow:
+    """The samples x[base : base + filled] of an input read in order, held in one reused array.
 
-    A view inside x; only a span that crosses an end is copied.
+    An array input is its own window. Blocks are appended as spans ask
+    for them, after the samples before the caller's `keep` are dropped.
     """
-    if start >= 0 and start + length <= x.shape[0]:
-        return x[start : start + length]
-    before = min(max(-start, 0), length)
-    inner = x[max(start, 0) : max(start + length, 0)]
-    return np.concatenate([np.zeros(before), inner, np.zeros(length - before - inner.shape[0])])
+
+    def __init__(self, x, n, span):
+        self.n = n
+        self.span_limit = span  # the longest span asked for
+        if isinstance(x, np.ndarray):
+            self.store, self.blocks, self.filled = x, iter(()), n
+        else:
+            self.store, self.blocks, self.filled = np.empty(0), iter(x), 0
+        self.base = 0
+
+    def span(self, start, end, keep):
+        """x[start:end], zero outside [0, n); no later call asks for a sample before keep.
+
+        A view of the window when the span lies inside x; a span that
+        crosses an end is copied.
+        """
+        top = min(end, self.n)
+        if top > self.base + self.filled:
+            self._extend(top, keep)
+        inner = self.store[max(start, 0) - self.base : max(top, 0) - self.base]
+        if start >= 0 and end <= self.n:
+            return inner
+        before = min(max(-start, 0), end - start)
+        return np.concatenate([np.zeros(before), inner, np.zeros(end - start - before - inner.shape[0])])
+
+    def _extend(self, top, keep):
+        """Drop the samples before keep, then append blocks until the window reaches top."""
+        drop = min(keep - self.base, self.filled)
+        store = self.store
+        store[: self.filled - drop] = store[drop : self.filled]  # a forward copy within one array
+        self.base += drop
+        self.filled -= drop
+        while self.base + self.filled < top:
+            block = next(self.blocks)
+            skip = min(max(keep - self.base - self.filled, 0), block.shape[0])  # only when the window is empty
+            self.base += skip
+            block = block[skip:]
+            end = self.filled + block.shape[0]
+            if end > store.shape[0]:
+                grown = np.empty(end + self.span_limit)
+                grown[: self.filled] = store[: self.filled]
+                store = grown
+            store[self.filled : end] = block
+            self.filled = end
+        self.store = store
+
+    def drain(self):
+        """Read the blocks that no window reached, so that the producer checks them too."""
+        for _ in self.blocks:
+            pass

@@ -88,8 +88,8 @@ class WavMetadata:
     frame_count: int
 
 
-def read_wav(path: str | Path) -> tuple[AudioBuffer, WavMetadata]:
-    """Decode a RIFF/WAVE file into a mono buffer.
+def read_wav(path: str | Path, sample_rate_hz: int | None = None) -> tuple[AudioBuffer, WavMetadata]:
+    """Decode a RIFF/WAVE file into a mono buffer, at sample_rate_hz when given.
 
     Reads PCM with 16, 24 or 32 bits and IEEE float with 32 bits, in
     WAVE_FORMAT_PCM / WAVE_FORMAT_IEEE_FLOAT files and in
@@ -103,22 +103,36 @@ def read_wav(path: str | Path) -> tuple[AudioBuffer, WavMetadata]:
     decoded in blocks of _BLOCK_FRAMES frames straight into the mono output,
     so the largest array held is the result itself.
 
+    When sample_rate_hz differs from the file's rate, each block goes into
+    `resample`'s polyphase filter as it is decoded, so no array holds the
+    signal at the file's rate; the result is bit-identical to
+    resample(read_wav(path)[0], sample_rate_hz). The metadata describes the
+    file.
+
     Raises:
         IoFailure: file missing or unreadable.
         MalformedWav: broken container, a file shorter than its chunks say,
             or non-finite float samples.
         UnsupportedFormat: any other format code, sample width or
             WAVE_FORMAT_EXTENSIBLE subformat.
+        InvalidRate, InvalidSpec: as `resample`, before any sample is read.
     """
     try:
         with open(path, "rb") as fh:
             fmt, data_start, data_size, to_end = _find_chunks(fh, path)
             meta, dtype, full_scale = _parse_fmt(fmt, data_size, to_end, path)
+            rate = meta.sample_rate_hz if sample_rate_hz is None else sample_rate_hz
+            convert = _rate_converter(meta.sample_rate_hz, rate)
             fh.seek(data_start)
-            samples = _decode_data(fh, dtype, full_scale, meta, path)
+            if convert is None:
+                samples = np.empty(meta.frame_count)
+                for _ in _decode_blocks(fh, dtype, full_scale, meta, path, samples):
+                    pass
+            else:
+                samples = convert(_decode_blocks(fh, dtype, full_scale, meta, path), meta.frame_count)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    return AudioBuffer(samples, meta.sample_rate_hz), meta
+    return AudioBuffer(samples, rate), meta
 
 
 def _find_chunks(fh, path) -> tuple[bytes, int, int, bool]:
@@ -212,13 +226,18 @@ def _parse_fmt(fmt: bytes, data_size: int, to_end: bool, path) -> tuple[WavMetad
     return meta, dtype, full_scale
 
 
-def _decode_data(fh, dtype: np.dtype, full_scale: float | None, meta: WavMetadata, path) -> np.ndarray:
-    """Decode the data chunk at fh's position, block by block, into one mono float64 array."""
+def _decode_blocks(fh, dtype: np.dtype, full_scale: float | None, meta: WavMetadata, path, out=None):
+    """Decode the data chunk at fh's position into mono float64 blocks of up to _BLOCK_FRAMES frames, one per yield.
+
+    Each block is written at its place in out when out is given, and
+    otherwise into one array that the next block overwrites.
+    """
     channels = meta.channel_count
-    out = np.empty(meta.frame_count)
+    scratch = np.empty(min(meta.frame_count, _BLOCK_FRAMES)) if out is None else None
     for start in range(0, meta.frame_count, _BLOCK_FRAMES):
-        dest = out[start : start + _BLOCK_FRAMES]
-        count = dest.shape[0] * channels
+        frames = min(_BLOCK_FRAMES, meta.frame_count - start)
+        dest = scratch[:frames] if out is None else out[start : start + frames]
+        count = frames * channels
         block = np.fromfile(fh, dtype=dtype, count=count)
         if block.shape[0] < count:  # the file shrank after its size was read
             raise MalformedWav(_ENDED_EARLY.format(path=path))
@@ -232,7 +251,7 @@ def _decode_data(fh, dtype: np.dtype, full_scale: float | None, meta: WavMetadat
             dest /= full_scale
         elif not np.all(np.isfinite(dest)):
             raise MalformedWav(f"{path}: non-finite samples in data chunk")
-    return out
+        yield dest
 
 
 def _downmix(frames: np.ndarray, dest: np.ndarray) -> None:
@@ -313,12 +332,23 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     duration is preserved to within one output sample period. A rate pair
     whose table of up x 64 taps would exceed 2**24 raises InvalidSpec.
     """
+    convert = _rate_converter(buffer.sample_rate_hz, target_rate_hz)
+    if convert is None:
+        return AudioBuffer(buffer.samples, target_rate_hz)
+    return AudioBuffer(convert(buffer.samples, len(buffer)), target_rate_hz)
+
+
+def _rate_converter(source_rate: int, target_rate_hz: int):
+    """`resample`'s filter as a function of (samples, their count), or None when the rates match.
+
+    The samples are an array or blocks, as `_kernels.polyphase_filter` takes
+    them. A bad target rate or an oversized table raises here, before any
+    sample is read.
+    """
     if target_rate_hz <= 0:
         raise InvalidRate(f"target rate must be positive, got {target_rate_hz}")
-    source_rate = buffer.sample_rate_hz
     if target_rate_hz == source_rate:
-        return AudioBuffer(buffer.samples, source_rate)
-
+        return None
     g = math.gcd(source_rate, target_rate_hz)
     up = target_rate_hz // g
     down = source_rate // g
@@ -328,10 +358,7 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
             f"{up * _kernels.RESAMPLER_TAPS} coefficients, over the limit of {SIZE_LIMIT}"
         )
     phase_taps = _design_polyphase(up, source_rate, target_rate_hz)
-
-    n_out = -(-len(buffer) * up // down)
-    y = _kernels.polyphase_filter(buffer.samples, phase_taps, up, down, n_out)
-    return AudioBuffer(y, target_rate_hz)
+    return lambda samples, n: _kernels.polyphase_filter(samples, phase_taps, up, down, -(-n * up // down), n)
 
 
 def sample_count(name: str, seconds: float, sample_rate_hz: int) -> int:
@@ -340,14 +367,6 @@ def sample_count(name: str, seconds: float, sample_rate_hz: int) -> int:
     if not count <= SIZE_LIMIT:  # also NaN, infinity, and a finite length that overflows here
         raise InvalidSpec(f"{name} of {seconds} s at {sample_rate_hz} Hz must come to at most {SIZE_LIMIT} samples")
     return int(round(count))
-
-
-def load_at_rate(path: str | Path, sample_rate_hz: int) -> AudioBuffer:
-    """Read a WAV file, resampling only when its rate is not sample_rate_hz."""
-    buffer, _ = read_wav(path)
-    if buffer.sample_rate_hz != sample_rate_hz:
-        buffer = resample(buffer, sample_rate_hz)
-    return buffer
 
 
 def _design_polyphase(up: int, source_rate: int, target_rate_hz: int) -> np.ndarray:
@@ -361,17 +380,22 @@ def _design_polyphase(up: int, source_rate: int, target_rate_hz: int) -> np.ndar
     return h.reshape(taps, up).T * up  # row p holds h[p::up]
 
 
-def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
+def frame_samples(samples: np.ndarray, win: int, hop: int, square: bool = False) -> np.ndarray:
     """Rows of `win` samples starting every `hop` samples, as a read-only view.
 
     There are ceil(len / hop) rows and the tail is zero padded, so every
     sample lands in at least one row when hop <= win; a longer hop skips
-    the samples between rows.
+    the samples between rows. With square=True the rows hold the squares
+    of the samples, squared straight into the padded copy.
     """
     n = samples.shape[0]
     n_frames = -(-n // hop)
     xpad = np.zeros((n_frames - 1) * hop + win)
-    xpad[:n] = samples[: xpad.size]
+    head = samples[: xpad.size]
+    if square:
+        np.square(head, out=xpad[:n])
+    else:
+        xpad[:n] = head
     return sliding_window_view(xpad, win)[::hop]
 
 

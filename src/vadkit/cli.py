@@ -14,7 +14,7 @@ import sys
 
 from . import __version__, repro
 from .artifacts import field_dict, read_json, write_json, write_table
-from .audio_io import AudioBuffer, load_at_rate, read_wav, write_wav
+from .audio_io import AudioBuffer, read_wav, write_wav
 from .config import CliConfig, load_config, value_type
 from .corpus import generate_corpus, labels_sidecar_path
 from .errors import LengthMismatch, VadKitError
@@ -54,15 +54,31 @@ def _effective_config(args, base: CliConfig = CliConfig()) -> CliConfig:
 _INPUT_ARGS = ("input", "speech", "ambient", "manifest", "config", "speech_labels")
 
 
-def _refuse_overwrites(args, *outputs) -> None:
-    """Raise before anything is written if an output resolves to an input or to another output."""
-    inputs = filter(None, (getattr(args, name, None) for name in _INPUT_ARGS))
-    seen = {os.path.realpath(path): f"input {path}" for path in inputs}
+def _refuse_overwrites(args, *outputs, inputs=()) -> None:
+    """Raise before anything is written if an output is an input or another output.
+
+    The inputs are the files named by _INPUT_ARGS plus `inputs`, those a
+    command reads without naming them (a manifest's clips, a labels
+    sidecar). Two paths are one file when their real paths match or, for
+    files that exist, their (st_dev, st_ino) do, as for hard links.
+    """
+    named = (getattr(args, name, None) for name in _INPUT_ARGS)
+    seen = {key: f"input {path}" for path in filter(None, [*named, *inputs]) for key in _file_keys(path)}
     for path in filter(None, outputs):
-        real = os.path.realpath(path)
-        if real in seen:
-            raise VadKitError(f"output {path} is the same file as the {seen[real]}")
-        seen[real] = f"output {path}"
+        keys = _file_keys(path)
+        for key in keys:
+            if key in seen:
+                raise VadKitError(f"output {path} is the same file as the {seen[key]}")
+        seen.update((key, f"output {path}") for key in keys)
+
+
+def _file_keys(path: str) -> list:
+    """The real path, and the device and inode when the file exists."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return [os.path.realpath(path)]
+    return [os.path.realpath(path), (st.st_dev, st.st_ino)]
 
 
 def cmd_detect(args) -> int:
@@ -70,7 +86,7 @@ def cmd_detect(args) -> int:
     _refuse_overwrites(args, out, args.frames_csv)
     config = _effective_config(args)
     cascade = design_butterworth_bandpass(config.filter_spec())
-    result = detect(load_at_rate(args.input, config.sample_rate_hz), cascade, config.vad_config())
+    result = detect(read_wav(args.input, config.sample_rate_hz)[0], cascade, config.vad_config())
 
     payload = result_to_dict(result)
     payload["effective_config"] = config.to_dict()
@@ -100,11 +116,11 @@ def _speech_labels_for(path: str, override: str | None, duration_s: float):
 
 def cmd_mix(args) -> int:
     sidecar_path = os.path.splitext(args.out)[0] + ".mix.json"
-    _refuse_overwrites(args, args.out, sidecar_path)
+    _refuse_overwrites(args, args.out, sidecar_path, inputs=[args.speech_labels or labels_sidecar_path(args.speech)])
     config = _effective_config(args)
     speech, _ = read_wav(args.speech)
     labels = _speech_labels_for(args.speech, args.speech_labels, speech.duration_s)
-    ambient = load_at_rate(args.ambient, speech.sample_rate_hz)
+    ambient, _ = read_wav(args.ambient, speech.sample_rate_hz)
     if len(ambient) < len(speech):
         raise LengthMismatch(
             f"ambient clip ({len(ambient)} samples) is shorter than speech ({len(speech)})"
@@ -139,7 +155,7 @@ def cmd_spectrogram(args) -> int:
     out = args.out or os.path.splitext(args.input)[0] + ".spec." + args.format
     _refuse_overwrites(args, out)
     config = _effective_config(args)
-    buffer = load_at_rate(args.input, config.sample_rate_hz)
+    buffer, _ = read_wav(args.input, config.sample_rate_hz)
     matrix = spectrogram(buffer, fft_size=config.fft_size, hop_samples=config.spectrogram_hop)
     if args.format == "json":
         payload = to_json_dict(matrix)
@@ -172,9 +188,9 @@ def cmd_filter_dump(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _refuse_overwrites(args, args.out)
-    config = _effective_config(args)
     clips = load_manifest(args.manifest)
+    _refuse_overwrites(args, args.out, inputs=[clip.audio_path for clip in clips])
+    config = _effective_config(args)
     base = os.path.dirname(os.path.abspath(args.manifest))
     cascade = design_butterworth_bandpass(config.filter_spec())
     aggregate, per_clip = evaluate_clips(clips, cascade, config.vad_config(), jobs=args.jobs)
@@ -210,9 +226,9 @@ def _grid_point_dict(point) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    _refuse_overwrites(args, args.out, args.csv)
-    config = _effective_config(args)
     clips = load_manifest(args.manifest)
+    _refuse_overwrites(args, args.out, args.csv, inputs=[clip.audio_path for clip in clips])
+    config = _effective_config(args)
     cascade = design_butterworth_bandpass(config.filter_spec())
     result = sweep(
         clips,

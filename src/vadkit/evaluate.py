@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import field_dict, json_number, read_json, write_json, write_table
-from .audio_io import load_at_rate
+from .audio_io import read_wav
 from .errors import LabelOutOfRange, SweepFailure, VadKitError
 from .filters import BiquadCascade, apply_cascade
 from .vad import VadConfig, VadResult, config_to_dict, frame_energies
@@ -167,7 +167,7 @@ def _clip_counts(clip: LabeledClip, cascade: BiquadCascade, configs, thresholds_
     once per config, and every threshold is scored from its SNR column.
     A failure in detection or scoring names the clip and the window.
     """
-    buffer = apply_cascade(cascade, load_at_rate(clip.audio_path, cascade.spec.sample_rate_hz))
+    buffer = apply_cascade(cascade, read_wav(clip.audio_path, cascade.spec.sample_rate_hz)[0])
     thresholds = np.array(thresholds_db)[:, None]
     counts = []
     for config in configs:

@@ -71,8 +71,8 @@ class VadResult:
     config: VadConfig
 
 
-def frame_signal(buffer: AudioBuffer, config: VadConfig) -> np.ndarray:
-    """Cut the buffer into frames, one per row.
+def frame_signal(buffer: AudioBuffer, config: VadConfig, square: bool = False) -> np.ndarray:
+    """Cut the buffer into frames, one per row, or its squares with square=True.
 
     The final frame is zero padded to full window length, so every sample
     lands in at least one frame and frame count is ceil(len / hop).
@@ -80,7 +80,7 @@ def frame_signal(buffer: AudioBuffer, config: VadConfig) -> np.ndarray:
     if len(buffer) == 0:
         raise EmptySignal("cannot frame an empty signal")
     rate = buffer.sample_rate_hz
-    return frame_samples(buffer.samples, config.window_samples(rate), config.hop_samples(rate))
+    return frame_samples(buffer.samples, config.window_samples(rate), config.hop_samples(rate), square)
 
 
 def frame_energy_db(frame: np.ndarray, energy_floor: float = VadConfig.energy_floor) -> float:
@@ -123,9 +123,11 @@ def merge_intervals(frames: np.recarray, config: VadConfig) -> tuple[tuple[float
 def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
     """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference."""
     # Framing the squares gives each frame's squares as one row, so one
-    # add.reduce per window sums every row pairwise, as np.mean does. The log
-    # stays scalar, because np.log10 can differ from math.log10 by one ulp.
-    squares = frame_signal(AudioBuffer(np.square(buffer.samples), buffer.sample_rate_hz), config)
+    # add.reduce per window sums every row pairwise, as np.mean does. The
+    # squares go straight into the padded frame array, the one clip-sized
+    # copy. The log stays scalar, because np.log10 can differ from
+    # math.log10 by one ulp.
+    squares = frame_signal(buffer, config, square=True)
     powers = np.add.reduce(squares, axis=1) / squares.shape[1]
     energies = np.array([10.0 * math.log10(max(power, config.energy_floor)) for power in powers.tolist()])
     return energies, estimate_noise_floor_db(energies, config)

@@ -1,5 +1,6 @@
 """WAV container round-trips, resampling oracles, truncation, normalization."""
 
+import math
 import struct
 import tempfile
 import tracemalloc
@@ -461,6 +462,86 @@ def test_resample_holds_no_copy_of_its_input():
     finally:
         tracemalloc.stop()
     assert peak < out.samples.nbytes + constant, peak
+
+
+_RATE_PAIRS = ((44100, 16000), (48000, 16000), (22050, 16000), (8000, 16000))
+_BLOCKED_FORMATS = ("pcm16", "pcm24", "pcm32", "float32", "extensible-pcm24", "streaming-pcm16")
+
+
+def _format_bytes(kind, frames, rate):
+    """A WAV of frames (n x channels, within [-1, 1)) in one of _BLOCKED_FORMATS."""
+    channels = frames.shape[1]
+    if kind == "float32":
+        return _wav(_fmt(3, channels, 32, rate), frames.astype("<f4").tobytes())
+    bits = int(kind[-2:])
+    subformat = 1 if kind.startswith("extensible") else None
+    blob = _wav(_fmt(0xFFFE if subformat else 1, channels, bits, rate, subformat), _pcm_bytes(frames, bits))
+    if kind.startswith("streaming"):  # the data size a recorder leaves when it cannot seek back
+        at = len(blob) - frames.size * bits // 8 - 4
+        blob = blob[:at] + struct.pack("<I", 0xFFFFFFFF) + blob[at + 4 :]
+    return blob
+
+
+@pytest.mark.parametrize("kind", _BLOCKED_FORMATS)
+@pytest.mark.parametrize("source, target", _RATE_PAIRS)
+def test_blocked_read_equals_resample_of_the_read(tmp_path, source, target, kind):
+    """read_wav(path, rate) feeds the decoder's blocks straight to the polyphase
+    filter; it must equal resample(read_wav(path)[0], rate) bit for bit at
+    lengths around the tap count, the decoder block and one product's span
+    of input, for 1, 2, 3 and 10 channels."""
+    down = source // math.gcd(source, target)
+    block, span, taps = audio_io._BLOCK_FRAMES, _kernels._CHUNK_ROWS * down, _kernels.RESAMPLER_TAPS
+    shift = _BLOCKED_FORMATS.index(kind)
+    cases = [(n, (1, 2, 3, 10)[(i + shift) % 4]) for i, n in enumerate((0, 1, taps - 1, block - 1, block, block + 1))]
+    cases += [(span - 1, 2), (span + 1, 1)]
+    rng = np.random.default_rng([source, shift])
+    for n, channels in cases:
+        path = tmp_path / f"{n}_{channels}.wav"
+        path.write_bytes(_format_bytes(kind, rng.uniform(-0.99, 0.99, (n, channels)), source))
+        blocked, meta = read_wav(path, target)
+        whole, whole_meta = read_wav(path)
+        assert meta == whole_meta
+        assert blocked.sample_rate_hz == target
+        assert blocked.samples.tobytes() == resample(whole, target).samples.tobytes(), (n, channels)
+        path.unlink()
+
+
+@pytest.mark.parametrize("fault", ("truncated", "non-finite"))
+def test_blocked_read_fault_in_a_later_block_exits_2(tmp_path, monkeypatch, capsys, fault):
+    """A file that ends early or holds a non-finite float after the first
+    product's span is refused, with no output, while resampling."""
+    frames = np.zeros((3 * _kernels._CHUNK_ROWS * 441, 2))
+    if fault == "non-finite":
+        frames[-5, 1] = np.inf
+    blob = _format_bytes("float32", frames, 44100)
+    (tmp_path / "in.wav").write_bytes(blob[:-1000] if fault == "truncated" else blob)
+    if fault == "truncated":  # the size read before the data was: the whole file
+        monkeypatch.setattr(audio_io.os, "fstat", lambda fd: SimpleNamespace(st_size=len(blob)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["detect", "in.wav", "--out", "out.json"]) == 2
+    assert ("ended" if fault == "truncated" else "non-finite samples") in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("seconds", (10, 30))
+def test_blocked_read_holds_one_product_span_of_input(tmp_path, seconds):
+    """Peak traced memory of reading 44.1 kHz stereo at 16 kHz: the output,
+    one product's span of input (1024 rows of 441 samples), one block of
+    both channels as float64 and a constant, the same at both lengths."""
+    n = seconds * 44100
+    data = np.random.default_rng(seconds).integers(-32768, 32768, 2 * n).astype("<i2").tobytes()
+    path = tmp_path / "long.wav"
+    path.write_bytes(_wav(_fmt(1, 2, 16, rate=44100), data))
+    del data
+    tracemalloc.start()
+    try:
+        buf, _ = read_wav(path, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == -(-n * 160 // 441)
+    bound = buf.samples.nbytes + _kernels._CHUNK_ROWS * 441 * 8 + audio_io._BLOCK_FRAMES * 2 * 8 + (1 << 20)
+    assert peak < bound, (peak, bound)
 
 
 def test_resample_identity():

@@ -359,16 +359,30 @@ _MIX_Z = ["mix", "z.wav", "z.wav", "--gain", "0.5"]
         (["eval", "--manifest", "m.json", "--out", "m.json"], "m.json"),
         (_SWEEP_M + ["--out", "m.json"], "m.json"),
         (_SWEEP_M + ["--out", "s.json", "--csv", "s.json"], "s.json"),
+        # Hard links, a manifest's clips and the speech file's labels sidecar count too.
+        (["detect", "z.wav", "--out", "h.json"], "h.json"),
+        (["detect", "z.wav", "--out", "d.json", "--frames-csv", "d2.csv"], "d2.csv"),
+        (["eval", "--manifest", "m.json", "--out", "z.wav"], "z.wav"),
+        (["eval", "--manifest", "m.json", "--out", "h.json"], "h.json"),
+        (_SWEEP_M + ["--out", "z.wav"], "z.wav"),
+        (_SWEEP_M + ["--out", "s.json", "--csv", "h.json"], "h.json"),
+        (_MIX_Z + ["--out", "z.labels.json"], "z.labels.json"),
     ],
     ids=[
         "detect-out-is-input", "detect-out-is-config", "detect-frames-csv-is-out",
         "detect-frames-csv-is-default-out", "spectrogram-out-is-input", "filter-dump-csv-is-out",
         "filter-dump-default-csv-is-config", "mix-out-is-input", "mix-sidecar-is-labels",
         "eval-out-is-manifest", "sweep-out-is-manifest", "sweep-csv-is-out",
+        "detect-out-hard-links-input", "detect-frames-csv-hard-links-out", "eval-out-is-clip",
+        "eval-out-hard-links-clip", "sweep-out-is-clip", "sweep-csv-hard-links-clip", "mix-out-is-labels-sidecar",
     ],
 )
 def test_output_naming_an_input_or_output_exits_2(argv, path, capsys, chdir_tmp):
     write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
+    os.link(chdir_tmp / "z.wav", chdir_tmp / "h.json")
+    (chdir_tmp / "d.json").write_text("{}")
+    os.link(chdir_tmp / "d.json", chdir_tmp / "d2.csv")
+    (chdir_tmp / "z.labels.json").write_text('{"speech_intervals": [[0.1, 0.5]]}')
     (chdir_tmp / "cfg.json").write_text('{"threshold_db": 12}')
     (chdir_tmp / "f.response.csv").write_text('{"filter_order": 4}')
     (chdir_tmp / "l.mix.json").write_text('{"speech_intervals": [[0.1, 0.5]]}')

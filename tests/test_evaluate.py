@@ -19,12 +19,12 @@ from vadkit import (
     design_butterworth_bandpass,
     evaluate_clips,
     load_manifest,
+    read_wav,
     save_manifest,
     score,
     sweep,
 )
 from vadkit.errors import LabelOutOfRange, SweepFailure
-from vadkit.audio_io import load_at_rate
 from vadkit.evaluate import _clip_counts, sweep_to_csv
 from vadkit.vad import FRAME_DTYPE, detect_prefiltered, merge_intervals
 
@@ -270,7 +270,7 @@ def test_evaluate_clips_aggregate_is_order_invariant_sum(corpus_dir):
 def filtered_clips(corpus_dir):
     clips, cascade = _sweep_fixture(corpus_dir)
     rate = cascade.spec.sample_rate_hz
-    return cascade, [(clip, apply_cascade(cascade, load_at_rate(clip.audio_path, rate))) for clip in clips]
+    return cascade, [(clip, apply_cascade(cascade, read_wav(clip.audio_path, rate)[0])) for clip in clips]
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,10 @@ stdlib `wave` module, take detect through the resampler and the downmix;
 a sweep over that corpus takes the per-clip engine through the resampler.
 Seeded 3-channel float32 and 10-channel PCM16 files, written with numpy and
 `struct`, take it through the reader's other two downmix paths (columns
-added in order below 8 channels, numpy's mean from 8 up).
+added in order below 8 channels, numpy's mean from 8 up). A seeded 25 s
+stereo PCM24 file at 44.1 kHz takes detect's blocked read through 17
+decoder blocks, the last one partial, and two full resampler products of
+1024 rows and a partial one per column group.
 Two checkouts write the same bytes when their outputs are identical:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > change.txt
@@ -45,6 +48,7 @@ _MANIFEST = "corpus/manifest.json"
 _STEREO = "stereo44.wav"
 _FLOAT3 = "float3ch.wav"
 _PCM10 = "pcm10ch.wav"
+_PCM24 = "pcm24stereo.wav"
 
 COMMANDS = [
     ("gen-corpus", ["gen-corpus", "--out-dir", "corpus", "--seed", "0"]),
@@ -86,6 +90,8 @@ COMMANDS = [
     ("detect-w5", ["detect", _CLIP, "--out", "detect_w5.json", "--frames-csv", "detect_w5.csv",
                    "--window", "5", "--threshold", "0"]),
     ("eval-w5", ["eval", "--manifest", _MANIFEST, "--window", "5", "--threshold", "0", "--out", "eval_w5.json"]),
+    ("detect-pcm24-stereo-25s", ["detect", _PCM24, "--out", "detect_pcm24.json", "--frames-csv", "detect_pcm24.csv",
+                                 "--threshold", "12"]),
 ]
 
 
@@ -103,18 +109,21 @@ def write_stereo_pcm16(path: str, seconds: float = 2.0, rate: int = 44100) -> No
         fh.writeframes(frames.tobytes())
 
 
-def write_multichannel(path: str, channels: int, float32: bool, seed: int,
+def write_multichannel(path: str, channels: int, sample_format: str, seed: int,
                        seconds: float = 3.0, rate: int = 22050) -> None:
-    """Seeded multichannel WAV: a gated 300 Hz tone in channel 0, independent noise in every channel."""
+    """Seeded multichannel WAV in "float32", "pcm16" or "pcm24": a gated 300 Hz
+    tone in channel 0, independent noise in every channel."""
     rng = np.random.default_rng(seed)
     t = np.arange(int(seconds * rate)) / rate
     x = 0.02 * rng.standard_normal((t.size, channels))
     x[:, 0] += 0.4 * np.sin(2 * np.pi * 300.0 * t) * (t % 1.0 < 0.5)
-    if float32:
-        code, data = 3, x.astype("<f4").tobytes()
-    else:
-        code, data = 1, np.round(x * 32767).astype("<i2").tobytes()
-    width = 4 if float32 else 2
+    if sample_format == "float32":
+        code, width, data = 3, 4, x.astype("<f4").tobytes()
+    elif sample_format == "pcm16":
+        code, width, data = 1, 2, np.round(x * 32767).astype("<i2").tobytes()
+    else:  # pcm24: the low three bytes of each little-endian int32
+        code, width = 1, 3
+        data = np.round(x * 8388607).astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     fmt = struct.pack("<HHIIHH", code, channels, rate, rate * channels * width, channels * width, 8 * width)
     body = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
     with open(path, "wb") as fh:
@@ -124,8 +133,9 @@ def write_multichannel(path: str, channels: int, float32: bool, seed: int,
 def run_commands(root: str) -> None:
     os.makedirs(os.path.join(root, "stdout"))
     write_stereo_pcm16(os.path.join(root, _STEREO))
-    write_multichannel(os.path.join(root, _FLOAT3), 3, float32=True, seed=3)
-    write_multichannel(os.path.join(root, _PCM10), 10, float32=False, seed=10)
+    write_multichannel(os.path.join(root, _FLOAT3), 3, "float32", seed=3)
+    write_multichannel(os.path.join(root, _PCM10), 10, "pcm16", seed=10)
+    write_multichannel(os.path.join(root, _PCM24), 2, "pcm24", seed=24, seconds=25.0, rate=44100)
     for i, (name, argv) in enumerate(COMMANDS):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
