@@ -68,6 +68,11 @@ _CASCADE_ROWS = 128
 # same time on 60 s of 44.1 -> 16 kHz; wider groups multiply more zeros.
 _GROUP_COLUMNS = 64
 _CHUNK_ROWS = 1024  # windows per resampler product, bounding any copy it makes
+# Samples a fill input's window holds beyond the longest span, so that it moves
+# what it keeps to its start about once per this many samples read, not once per product.
+_WINDOW_SLACK = 1 << 16
+# Bound on (group - 1) * down, which the group matrices hold beyond the taps (44.1 -> 16 kHz: 63 x 441).
+_BAND_LIMIT = 2**20
 # A section that passes its input through with no state, paired with an odd last section.
 _PASS_THROUGH = ((1.0, 0.0, 0.0), (0.0, 0.0))
 
@@ -216,10 +221,10 @@ def _pair_rows(pair, x, spare, state):
 def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
     """y[n] = sum_k h[p,k] * x[m - k] with p/m derived from n*down; x reads as zero outside its ends.
 
-    x is the input as one array, or as an iterable of consecutive 1-D
-    blocks that hold n_in samples in all. A block is copied before the
-    next one is asked for, so a producer may reuse one array for every
-    block, and every block is read, even those past the last window.
+    x is the input as one array, or as a function fill(dest) that writes
+    the next dest.shape[0] of its n_in samples into dest. fill is asked for
+    every sample once and in order, those that no window reads included,
+    so a reader that checks what it writes checks the whole input.
 
     The +TAPS/2 bias keeps the output aligned with the input timeline.
     Output n = j*up + c reads the taps samples of x that start at
@@ -227,12 +232,13 @@ def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
     and matrix, and writes its products straight into the output. Only the
     few rows whose window crosses an end of x read a zero-extended copy.
     When down < taps no window fits in down samples; a group is then the
-    whole row, and each product copies its windows.
+    whole row, and each product copies its windows. A down so large that
+    the mostly-zero matrices would pass _BAND_LIMIT narrows the groups.
 
     Every group's products run in order of the input they end at, so the
-    input they read is held once: blocked input lives in a rolling window
-    of at most one product's span plus one block, and an array is read in
-    place.
+    input they read is held once: a fill input goes into one store as long
+    as the longest span of x that a product reads, plus _WINDOW_SLACK, and
+    an array is read in place.
     """
     n = x.shape[0] if n_in is None else n_in
     taps = phase_taps.shape[1]
@@ -240,7 +246,7 @@ def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
     rows = -(-n_out // up)
     y = np.empty((rows, up))
     fits = (down - taps) * up // down + 1  # the most columns whose window spans at most down samples
-    group = min(up, _GROUP_COLUMNS, fits) if fits > 0 else up
+    group = min(up, _GROUP_COLUMNS, fits, 1 + _BAND_LIMIT // down) if fits > 0 else up
     k = np.arange(taps)[:, None]
     products = []  # (input end, input start, band, rows, columns)
     for c0 in range(0, up, group):
@@ -259,72 +265,66 @@ def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
                 end = start + (j1 - j0 - 1) * down + width
                 products.append((end, start, band, slice(j0, j1), slice(c0, c0 + cols.size)))
     products.sort(key=lambda product: product[0])
-    keep = n  # the first sample that this and every later product reads
-    keeps = []
-    for _, start, *_ in reversed(products):
-        keep = min(keep, max(start, 0))
-        keeps.append(keep)
-    window = _InputWindow(x, n, max((end - start for end, start, *_ in products), default=0))
-    for (end, start, band, j, c), keep in zip(products, reversed(keeps)):
-        seg = window.span(start, end, keep)
+    window = _InputWindow(x, n, max((min(end, n) - max(start, 0) for end, start, *_ in products), default=0))
+    for end, start, band, j, c in products:
+        seg = window.span(start, end)
         np.matmul(sliding_window_view(seg, band.shape[0])[::down], band, out=y[j, c])
     window.drain()
     return y.reshape(-1)[:n_out]
 
 
 class _InputWindow:
-    """The samples x[base : base + filled] of an input read in order, held in one reused array.
+    """The samples x[base:top] of an input, read in order.
 
-    An array input is its own window. Blocks are appended as spans ask
-    for them, after the samples before the caller's `keep` are dropped.
+    An array input is its own window. A fill input is read into one store
+    of `longest` samples, the most of x that any span holds, plus
+    _WINDOW_SLACK, and at most n. Spans come in order of their end, so no
+    later span reads a sample before top - longest: when a read would
+    overrun the store, the samples from there on are kept, and those before
+    them are read past.
     """
 
-    def __init__(self, x, n, span):
-        self.n = n
-        self.span_limit = span  # the longest span asked for
+    def __init__(self, x, n, longest):
+        self.n, self.longest = n, longest
         if isinstance(x, np.ndarray):
-            self.store, self.blocks, self.filled = x, iter(()), n
+            self.store, self.fill, self.top = x, None, n
         else:
-            self.store, self.blocks, self.filled = np.empty(0), iter(x), 0
+            self.store, self.fill, self.top = np.empty(min(longest + _WINDOW_SLACK, n)), x, 0
         self.base = 0
 
-    def span(self, start, end, keep):
-        """x[start:end], zero outside [0, n); no later call asks for a sample before keep.
+    def span(self, start, end):
+        """x[start:end], zero outside [0, n).
 
         A view of the window when the span lies inside x; a span that
         crosses an end is copied.
         """
         top = min(end, self.n)
-        if top > self.base + self.filled:
-            self._extend(top, keep)
+        if top > self.top:
+            self._read_to(top)
         inner = self.store[max(start, 0) - self.base : max(top, 0) - self.base]
         if start >= 0 and end <= self.n:
             return inner
         before = min(max(-start, 0), end - start)
         return np.concatenate([np.zeros(before), inner, np.zeros(end - start - before - inner.shape[0])])
 
-    def _extend(self, top, keep):
-        """Drop the samples before keep, then append blocks until the window reaches top."""
-        drop = min(keep - self.base, self.filled)
+    def _read_to(self, top):
+        """Read up to top, first moving the samples from top - longest on to the start if the store is full."""
         store = self.store
-        store[: self.filled - drop] = store[drop : self.filled]  # a forward copy within one array
-        self.base += drop
-        self.filled -= drop
-        while self.base + self.filled < top:
-            block = next(self.blocks)
-            skip = min(max(keep - self.base - self.filled, 0), block.shape[0])  # only when the window is empty
-            self.base += skip
-            block = block[skip:]
-            end = self.filled + block.shape[0]
-            if end > store.shape[0]:
-                grown = np.empty(end + self.span_limit)
-                grown[: self.filled] = store[: self.filled]
-                store = grown
-            store[self.filled : end] = block
-            self.filled = end
-        self.store = store
+        if top - self.base > store.shape[0]:
+            keep = top - self.longest
+            held = max(self.top - keep, 0)
+            store[:held] = store[keep - self.base : self.top - self.base]  # a forward copy within one array
+            self._discard(keep - self.top)  # reads nothing when samples are held
+            self.base, self.top = keep, keep + held
+        self.fill(store[self.top - self.base : top - self.base])
+        self.top = top
+
+    def _discard(self, count):
+        """Read count samples that no span reads, a store at a time."""
+        size = self.store.shape[0]
+        for done in range(0, count, max(size, 1)):  # the store is empty only when x is
+            self.fill(self.store[: min(size, count - done)])
 
     def drain(self):
-        """Read the blocks that no window reached, so that the producer checks them too."""
-        for _ in self.blocks:
-            pass
+        """Read the samples after the last span's, so that the reader checks them too."""
+        self._discard(self.n - self.top)

@@ -9,6 +9,7 @@ channels, which it averages; the writer emits mono PCM16 or FLOAT32.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -99,15 +100,15 @@ def read_wav(path: str | Path, sample_rate_hz: int | None = None) -> tuple[Audio
     2**23 for 24, 2**31 for 32). Chunks other than fmt/data (LIST, fact,
     ...) are skipped. A data chunk whose size a streaming recorder left as
     0xFFFFFFFF, or as 0 in a file whose RIFF size is 0 or 0xFFFFFFFF, runs
-    to the end of the file, floored to whole frames. The data chunk is
-    decoded in blocks of _BLOCK_FRAMES frames straight into the mono output,
-    so the largest array held is the result itself.
+    to the end of the file, floored to whole frames. `_decode_into` decodes
+    the data chunk straight into the mono output, so the largest array held
+    is the result itself.
 
-    When sample_rate_hz differs from the file's rate, each block goes into
-    `resample`'s polyphase filter as it is decoded, so no array holds the
-    signal at the file's rate; the result is bit-identical to
-    resample(read_wav(path)[0], sample_rate_hz). The metadata describes the
-    file.
+    When sample_rate_hz differs from the file's rate, `resample`'s polyphase
+    filter calls `_decode_into` to fill its input window in place, so no
+    array holds the signal at the file's rate; the result is bit-identical
+    to resample(read_wav(path)[0], sample_rate_hz). The metadata describes
+    the file.
 
     Raises:
         IoFailure: file missing or unreadable.
@@ -124,12 +125,12 @@ def read_wav(path: str | Path, sample_rate_hz: int | None = None) -> tuple[Audio
             rate = meta.sample_rate_hz if sample_rate_hz is None else sample_rate_hz
             convert = _rate_converter(meta.sample_rate_hz, rate)
             fh.seek(data_start)
+            fill = functools.partial(_decode_into, fh, dtype, full_scale, meta.channel_count, path)
             if convert is None:
                 samples = np.empty(meta.frame_count)
-                for _ in _decode_blocks(fh, dtype, full_scale, meta, path, samples):
-                    pass
+                fill(samples)
             else:
-                samples = convert(_decode_blocks(fh, dtype, full_scale, meta, path), meta.frame_count)
+                samples = convert(fill, meta.frame_count)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     return AudioBuffer(samples, rate), meta
@@ -226,18 +227,11 @@ def _parse_fmt(fmt: bytes, data_size: int, to_end: bool, path) -> tuple[WavMetad
     return meta, dtype, full_scale
 
 
-def _decode_blocks(fh, dtype: np.dtype, full_scale: float | None, meta: WavMetadata, path, out=None):
-    """Decode the data chunk at fh's position into mono float64 blocks of up to _BLOCK_FRAMES frames, one per yield.
-
-    Each block is written at its place in out when out is given, and
-    otherwise into one array that the next block overwrites.
-    """
-    channels = meta.channel_count
-    scratch = np.empty(min(meta.frame_count, _BLOCK_FRAMES)) if out is None else None
-    for start in range(0, meta.frame_count, _BLOCK_FRAMES):
-        frames = min(_BLOCK_FRAMES, meta.frame_count - start)
-        dest = scratch[:frames] if out is None else out[start : start + frames]
-        count = frames * channels
+def _decode_into(fh, dtype: np.dtype, full_scale: float | None, channels: int, path, dest: np.ndarray) -> None:
+    """Decode the next dest.shape[0] frames of the data chunk at fh's position into dest, _BLOCK_FRAMES at a time."""
+    for start in range(0, dest.shape[0], _BLOCK_FRAMES):
+        piece = dest[start : start + _BLOCK_FRAMES]
+        count = piece.shape[0] * channels
         block = np.fromfile(fh, dtype=dtype, count=count)
         if block.shape[0] < count:  # the file shrank after its size was read
             raise MalformedWav(_ENDED_EARLY.format(path=path))
@@ -246,12 +240,11 @@ def _decode_blocks(fh, dtype: np.dtype, full_scale: float | None, meta: WavMetad
             wide[:, 1:] = block.view(np.uint8).reshape(count, 3)
             block = wide.view("<i4").reshape(count)
         with np.errstate(invalid="ignore"):  # +inf and -inf in one frame average to NaN, refused below
-            _downmix(block.reshape(-1, channels), dest)
+            _downmix(block.reshape(-1, channels), piece)
         if full_scale is not None:
-            dest /= full_scale
-        elif not np.all(np.isfinite(dest)):
+            piece /= full_scale
+        elif not np.all(np.isfinite(piece)):
             raise MalformedWav(f"{path}: non-finite samples in data chunk")
-        yield dest
 
 
 def _downmix(frames: np.ndarray, dest: np.ndarray) -> None:
@@ -341,9 +334,9 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
 def _rate_converter(source_rate: int, target_rate_hz: int):
     """`resample`'s filter as a function of (samples, their count), or None when the rates match.
 
-    The samples are an array or blocks, as `_kernels.polyphase_filter` takes
-    them. A bad target rate or an oversized table raises here, before any
-    sample is read.
+    The samples are an array or a fill function, as `_kernels.polyphase_filter`
+    takes them. A bad target rate or an oversized table raises here, before
+    any sample is read.
     """
     if target_rate_hz <= 0:
         raise InvalidRate(f"target rate must be positive, got {target_rate_hz}")
@@ -370,12 +363,20 @@ def sample_count(name: str, seconds: float, sample_rate_hz: int) -> int:
 
 
 def _design_polyphase(up: int, source_rate: int, target_rate_hz: int) -> np.ndarray:
-    """Prototype lowpass split into `up` branches of RESAMPLER_TAPS taps."""
+    """Prototype lowpass split into `up` branches of RESAMPLER_TAPS taps.
+
+    Built _BLOCK_FRAMES coefficients at a time, with np.kaiser's formula,
+    so that the temporaries stay small beside the table.
+    """
     taps = _kernels.RESAMPLER_TAPS
     n = taps * up
-    t = (np.arange(n) - (n - 1) / 2.0) / up  # in input-sample units
+    centre = (n - 1) / 2.0
     cutoff = min(1.0, target_rate_hz / source_rate)  # x input Nyquist
-    h = cutoff * np.sinc(cutoff * t) * np.kaiser(n, _KAISER_BETA)
+    h = np.empty(n)
+    for k0 in range(0, n, _BLOCK_FRAMES):
+        k = np.arange(k0, min(n, k0 + _BLOCK_FRAMES), dtype=np.float64)
+        kaiser = np.i0(_KAISER_BETA * np.sqrt(1 - ((k - centre) / centre) ** 2.0)) / np.i0(_KAISER_BETA)
+        h[k0 : k0 + k.shape[0]] = cutoff * np.sinc(cutoff * ((k - centre) / up)) * kaiser  # t in input samples
     h /= h.sum()
     return h.reshape(taps, up).T * up  # row p holds h[p::up]
 

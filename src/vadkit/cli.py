@@ -16,7 +16,7 @@ from . import __version__, repro
 from .artifacts import field_dict, read_json, write_json, write_table
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .config import CliConfig, load_config, value_type
-from .corpus import generate_corpus, labels_sidecar_path
+from .corpus import corpus_files, generate_corpus, labels_sidecar_path
 from .errors import LengthMismatch, VadKitError
 from .evaluate import (
     LabeledClip,
@@ -256,6 +256,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_corpus(args) -> int:
+    _refuse_overwrites(args, *corpus_files(args.out_dir))
     config = _effective_config(args)
     clips = generate_corpus(
         args.seed,
@@ -269,6 +270,7 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_repro_figures(args) -> int:
+    _refuse_overwrites(args, *repro.output_files(args.out_dir))
     config = _effective_config(args, repro.BASE_CONFIG)
     files = repro.run(args.out_dir, seed=args.seed, snr_db=args.snr, config=config)
     for name in files:

@@ -33,6 +33,7 @@ _GAP_NOISE_AMPLITUDE = 1e-4
 _GATES_A = ((0.62, 1.55), (2.17, 3.10))
 _GATES_B = ((0.31, 1.24), (1.86, 2.79))
 _MIX_SNRS_DB = (20.0, 10.0, 5.0, 0.0)
+_MIX_BEDS = (("a", "white"), ("b", "pink"))  # each surrogate's tag and the ambient bed it is mixed with
 
 
 def _white_noise(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -90,6 +91,18 @@ def labels_sidecar_path(wav_path: str) -> str:
     return os.path.splitext(wav_path)[0] + ".labels.json"
 
 
+def _mix_name(tag: str, bed_name: str, snr: float) -> str:
+    return f"mix_{tag}_{bed_name}_snr{int(snr):02d}.wav"
+
+
+def corpus_files(out_dir: str) -> list[str]:
+    """Every path `generate_corpus` writes under out_dir: the clips, their labels and the manifest."""
+    names = ["silence.wav", "ambient_white.wav", "ambient_pink.wav", "speech_a.wav", "speech_b.wav"]
+    names += [_mix_name(tag, bed_name, snr) for tag, bed_name in _MIX_BEDS for snr in _MIX_SNRS_DB]
+    clips = [os.path.join(out_dir, name) for name in names]
+    return [*clips, *map(labels_sidecar_path, clips), os.path.join(out_dir, "manifest.json")]
+
+
 def _write_clip(out_dir: str, name: str, samples, sample_rate_hz, intervals, note) -> LabeledClip:
     path = os.path.join(out_dir, name)
     write_wav(AudioBuffer(samples, sample_rate_hz), path, format="pcm16")
@@ -133,16 +146,13 @@ def generate_corpus(
         _write_clip(out_dir, "speech_b.wav", speech_b, fs, _GATES_B, "harmonic surrogate, f0 145 Hz"),
     ]
 
-    pairs = (
-        ("a", speech_a, _GATES_A, "white", white),
-        ("b", speech_b, _GATES_B, "pink", pink),
-    )
-    for tag, speech, gates, bed_name, bed in pairs:
+    pairs = ((speech_a, _GATES_A, white), (speech_b, _GATES_B, pink))
+    for (tag, bed_name), (speech, gates, bed) in zip(_MIX_BEDS, pairs):
         speech_buf = AudioBuffer(speech, fs)
         bed_buf = AudioBuffer(bed, fs)
         for snr in _MIX_SNRS_DB:
             mixed = mix(speech_buf, bed_buf, MixSpec(target_snr_db=snr, normalize_peak=0.9))
-            name = f"mix_{tag}_{bed_name}_snr{int(snr):02d}.wav"
+            name = _mix_name(tag, bed_name, snr)
             clips.append(
                 _write_clip(
                     out_dir,

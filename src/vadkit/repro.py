@@ -16,7 +16,7 @@ import numpy as np
 from .artifacts import make_output_dir, write_json, write_json_rows, write_table
 from .audio_io import AudioBuffer, read_wav
 from .config import CliConfig
-from .corpus import corpus_clip_samples, generate_corpus
+from .corpus import corpus_clip_samples, corpus_files, generate_corpus
 from .filters import apply_cascade, design_butterworth_bandpass
 from .mixing import MixSpec, mix
 from .spectrogram import check_fft, spectrogram, to_json_dict, write_pgm
@@ -35,6 +35,14 @@ def _interval_mask(n: int, sample_rate_hz: int, intervals) -> np.ndarray:
 # The library default threshold targets clips whose noise floor is
 # near silence; the figure mixture needs a tuned value instead.
 BASE_CONFIG = CliConfig(threshold_db=12.0)
+_PANELS = ("speech", "ambient", "mixed", "detected")  # the fig4 spectrograms
+
+
+def output_files(out_dir: str) -> list[str]:
+    """Every path `run` writes under out_dir, the corpus included."""
+    names = ["fig3_waveform.csv", "fig3_decisions.csv", "fig3_detection.json", "summary.json"]
+    names += [f"fig4_{panel}.{ext}" for panel in _PANELS for ext in ("json", "pgm")]
+    return corpus_files(os.path.join(out_dir, "corpus")) + [os.path.join(out_dir, name) for name in names]
 
 
 def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = BASE_CONFIG) -> list[str]:
@@ -80,13 +88,7 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
         * _interval_mask(len(filtered), filtered.sample_rate_hz, result.intervals),
         filtered.sample_rate_hz,
     )
-    panels = [
-        ("speech", speech),
-        ("ambient", ambient),
-        ("mixed", mixed),
-        ("detected", detected),
-    ]
-    for name, buffer in panels:
+    for name, buffer in zip(_PANELS, (speech, ambient, mixed, detected)):
         matrix = spectrogram(
             buffer, fft_size=config.fft_size, hop_samples=config.spectrogram_hop
         )

@@ -1,7 +1,11 @@
 """WAV container round-trips, resampling oracles, truncation, normalization."""
 
 import math
+import os
+import resource
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -542,6 +546,92 @@ def test_blocked_read_holds_one_product_span_of_input(tmp_path, seconds):
     assert len(buf) == -(-n * 160 // 441)
     bound = buf.samples.nbytes + _kernels._CHUNK_ROWS * 441 * 8 + audio_io._BLOCK_FRAMES * 2 * 8 + (1 << 20)
     assert peak < bound, (peak, bound)
+
+
+# Rate pairs at which the windows leave samples unread: 64 of every 200, and of every 96.
+_GAP_PAIRS = ((40000, 200), (96000, 1000))
+
+
+@pytest.mark.parametrize("source, target", _GAP_PAIRS)
+def test_blocked_read_through_gaps_equals_resample_of_the_read(tmp_path, source, target):
+    """The filter reads and drops the samples that no window needs, between
+    the windows of two products and after the last window; the result is
+    still resample(read_wav(path)[0], rate) bit for bit."""
+    down = source // math.gcd(source, target)
+    span = _kernels._CHUNK_ROWS * down
+    rng = np.random.default_rng(down)
+    cases = ((1, 1), (down - 1, 2), (span + 5, 3), (2 * span + down // 2, 10), (3 * span + 7, 1))
+    for kind in ("pcm16", "float32", "pcm24"):
+        for n, channels in cases:
+            path = tmp_path / f"{kind}_{n}_{channels}.wav"
+            path.write_bytes(_format_bytes(kind, rng.uniform(-0.99, 0.99, (n, channels)), source))
+            assert read_wav(path, target)[0].samples.tobytes() == (
+                resample(read_wav(path)[0], target).samples.tobytes()
+            ), (kind, n, channels)
+            path.unlink()
+
+
+@pytest.mark.parametrize("where", ("gap", "tail"))
+@pytest.mark.parametrize("source, target", _GAP_PAIRS)
+def test_non_finite_sample_that_no_window_reads_is_refused(tmp_path, source, target, where):
+    """A float32 inf between the windows of two products, or after the last
+    window, still raises MalformedWav while resampling."""
+    down = source // math.gcd(source, target)  # up is 1: row j's window starts at first + j * down
+    taps = _kernels.RESAMPLER_TAPS
+    first = taps // 2 - (taps - 1)
+    n = 3 * _kernels._CHUNK_ROWS * down
+    rows = -(-n // down)
+    if where == "gap":  # after the window of the last row of one product, before the next product's
+        at = first + _kernels._CHUNK_ROWS * down + taps + 3
+        assert (at - first) % down >= taps  # between two windows
+    else:
+        at = n - 5
+        assert at >= first + (rows - 1) * down + taps  # after the last window
+    frames = np.zeros((n, 2))
+    frames[at, 1] = np.inf
+    path = tmp_path / "inf.wav"
+    path.write_bytes(_format_bytes("float32", frames, source))
+    with pytest.raises(MalformedWav, match="non-finite samples"):
+        read_wav(path, target)
+
+
+@pytest.mark.parametrize("source, target", ((44100, 16000), (48000, 16000), (22050, 16000), (8000, 16000),
+                                            (176400, 16000), (16000, 44100)))
+def test_band_limit_leaves_common_groups_alone(source, target):
+    down = source // math.gcd(source, target)
+    assert (_kernels._GROUP_COLUMNS - 1) * down <= _kernels._BAND_LIMIT
+
+
+def test_resample_from_a_megahertz_rate_holds_bounded_bands():
+    """1,000,003 -> 16,000 Hz: groups of 64 columns would hold 250 matrices of
+    about 2 MB each; narrowed groups keep the peak under 64 MB."""
+    x = np.random.default_rng(11).standard_normal(1000)
+    tracemalloc.start()
+    try:
+        out = resample(AudioBuffer(x, 1000003), 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == -(-1000 * 16000 // 1000003)
+    assert peak < 64 << 20, peak
+
+
+def test_detect_on_a_gigahertz_header_does_not_exhaust_memory(tmp_path):
+    """A 1000-frame PCM16 file whose header says 4,294,967,291 Hz: detect ends
+    in exit 0 or 2, within a 3 GB address space, never in an internal error."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 4294967291, 0, 2, 16)
+    (tmp_path / "ghz.wav").write_bytes(_wav(fmt, np.zeros(1000, "<i2").tobytes()))
+    src = str(Path(audio_io.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "vadkit.cli", "detect", "ghz.wav", "--out", "ghz.json"],
+        cwd=tmp_path, env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode in (0, 2), done.stderr
 
 
 def test_resample_identity():

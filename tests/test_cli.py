@@ -367,6 +367,9 @@ _MIX_Z = ["mix", "z.wav", "z.wav", "--gain", "0.5"]
         (_SWEEP_M + ["--out", "z.wav"], "z.wav"),
         (_SWEEP_M + ["--out", "s.json", "--csv", "h.json"], "h.json"),
         (_MIX_Z + ["--out", "z.labels.json"], "z.labels.json"),
+        # A command that writes a directory of files refuses a config among them.
+        (["repro-figures", "--out-dir", "d", "--config", "d/summary.json"], "d/summary.json"),
+        (["gen-corpus", "--out-dir", "d", "--config", "d/manifest.json"], "d/manifest.json"),
     ],
     ids=[
         "detect-out-is-input", "detect-out-is-config", "detect-frames-csv-is-out",
@@ -375,6 +378,7 @@ _MIX_Z = ["mix", "z.wav", "z.wav", "--gain", "0.5"]
         "eval-out-is-manifest", "sweep-out-is-manifest", "sweep-csv-is-out",
         "detect-out-hard-links-input", "detect-frames-csv-hard-links-out", "eval-out-is-clip",
         "eval-out-hard-links-clip", "sweep-out-is-clip", "sweep-csv-hard-links-clip", "mix-out-is-labels-sidecar",
+        "repro-figures-out-dir-holds-config", "gen-corpus-out-dir-holds-config",
     ],
 )
 def test_output_naming_an_input_or_output_exits_2(argv, path, capsys, chdir_tmp):
@@ -387,10 +391,13 @@ def test_output_naming_an_input_or_output_exits_2(argv, path, capsys, chdir_tmp)
     (chdir_tmp / "f.response.csv").write_text('{"filter_order": 4}')
     (chdir_tmp / "l.mix.json").write_text('{"speech_intervals": [[0.1, 0.5]]}')
     (chdir_tmp / "m.json").write_text('[{"audio_path": "z.wav", "speech_intervals": []}]')
-    before = {p.name: p.read_bytes() for p in chdir_tmp.iterdir()}
+    (chdir_tmp / "d").mkdir()
+    for name in ("summary.json", "manifest.json"):
+        (chdir_tmp / "d" / name).write_text('{"threshold_db": 12}')
+    before = {p: p.read_bytes() for p in chdir_tmp.rglob("*") if p.is_file()}
     assert _run(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: output {path} is the same file as the ")
-    assert {p.name: p.read_bytes() for p in chdir_tmp.iterdir()} == before
+    assert {p: p.read_bytes() for p in chdir_tmp.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize(
@@ -578,6 +585,17 @@ def test_repro_figures_deterministic_and_complete(tmp_path):
         "summary.json",
     ):
         assert required in names
+
+
+def test_planned_outputs_are_the_files_written(tmp_path):
+    """The lists the overwrite check reads name exactly what each command writes."""
+    from vadkit import repro
+    from vadkit.corpus import corpus_files
+
+    for command, planned in (("gen-corpus", corpus_files), ("repro-figures", repro.output_files)):
+        out_dir = tmp_path / command
+        assert _run([command, "--out-dir", out_dir]) == 0
+        assert sorted(str(p) for p in out_dir.rglob("*") if p.is_file()) == sorted(planned(str(out_dir)))
 
 
 def test_console_script_help():

@@ -12,7 +12,10 @@ Seeded 3-channel float32 and 10-channel PCM16 files, written with numpy and
 added in order below 8 channels, numpy's mean from 8 up). A seeded 25 s
 stereo PCM24 file at 44.1 kHz takes detect's blocked read through 17
 decoder blocks, the last one partial, and two full resampler products of
-1024 rows and a partial one per column group.
+1024 rows and a partial one per column group. A seeded 10 s stereo float32
+file at 96 kHz, detected at 1 kHz, takes the resampler through a rate pair
+whose windows read 64 of every 96 samples: the reader passes over the
+samples between two products and after the last window.
 Two checkouts write the same bytes when their outputs are identical:
 
     PYTHONPATH=src python3 tools/artifact_digests.py > change.txt
@@ -49,6 +52,7 @@ _STEREO = "stereo44.wav"
 _FLOAT3 = "float3ch.wav"
 _PCM10 = "pcm10ch.wav"
 _PCM24 = "pcm24stereo.wav"
+_GAP96 = "float96k.wav"
 
 COMMANDS = [
     ("gen-corpus", ["gen-corpus", "--out-dir", "corpus", "--seed", "0"]),
@@ -92,6 +96,8 @@ COMMANDS = [
     ("eval-w5", ["eval", "--manifest", _MANIFEST, "--window", "5", "--threshold", "0", "--out", "eval_w5.json"]),
     ("detect-pcm24-stereo-25s", ["detect", _PCM24, "--out", "detect_pcm24.json", "--frames-csv", "detect_pcm24.csv",
                                  "--threshold", "12"]),
+    ("detect-96k-at-1k", ["detect", _GAP96, "--out", "detect_gap.json", "--frames-csv", "detect_gap.csv",
+                          "--sample-rate", "1000", "--low", "100", "--high", "400", "--threshold", "12"]),
 ]
 
 
@@ -136,6 +142,7 @@ def run_commands(root: str) -> None:
     write_multichannel(os.path.join(root, _FLOAT3), 3, "float32", seed=3)
     write_multichannel(os.path.join(root, _PCM10), 10, "pcm16", seed=10)
     write_multichannel(os.path.join(root, _PCM24), 2, "pcm24", seed=24, seconds=25.0, rate=44100)
+    write_multichannel(os.path.join(root, _GAP96), 2, "float32", seed=96, seconds=10.0, rate=96000)
     for i, (name, argv) in enumerate(COMMANDS):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
