@@ -38,8 +38,10 @@ at 2048, where the kernel tests allow 1e-12. The plan's convolutions cost
 ROW^2 (0.8 ms for one pair at 512, 2.5 ms at 1024), and every command
 builds its own plan: at 1024 the plan costs more than halving the row loop
 saves on a minute of audio.
-`sos_plan` builds each pair's matrices once; `sos_filter` runs the
-products, the row loop and the scan with them.
+`sos_plan` builds each pair's matrices once; `sos_passes` runs the
+products, the row loop and the scan with them, one pass of PASS samples at a
+time through the fixed arrays of a `PassBuffers`, and `sos_filter` gathers
+the passes into one array.
 
 The resampler is a banded matrix product (Crochiere & Rabiner, Multirate
 Digital Signal Processing, 1983). Outputs j*up ... j*up+up-1 form row j.
@@ -64,6 +66,7 @@ _STATES = 4  # states of a fused pair of sections
 # cache; on 60 s at 16 kHz the filter took 10% less time than in one pass,
 # and 6% less than in passes of 64 rows.
 _CASCADE_ROWS = 128
+PASS = _CASCADE_ROWS * ROW  # samples per filter pass
 # Output columns per resampler product, at most. Widths of 32 to 80 took the
 # same time on 60 s of 44.1 -> 16 kHz; wider groups multiply more zeros.
 _GROUP_COLUMNS = 64
@@ -83,7 +86,7 @@ def sos_plan(b, a) -> tuple:
     b holds (b0, b1, b2) and a holds (a1, a2) per section. An odd last
     section is paired with a pass-through section. Each entry is (row drive
     taps, sub-block matrix, observer rows, (A^SUB)^T, A^ROW as 16 floats),
-    as `sos_filter` uses them.
+    as `sos_passes` uses them.
     """
     sections = [_section_sequences(bs, as_) for bs, as_ in zip(b, a)]
     if len(sections) % 2:
@@ -158,28 +161,69 @@ def _pair_plan(first, second) -> tuple:
     )
 
 
-def sos_filter(plan, x):
+class PassBuffers:
+    """The fixed arrays of the block path, made once by a caller and reused for every clip.
+
+    rows is the pass buffer of `sos_passes` and products its sub-block
+    products. squares holds the squared samples of `vad.feed_squares`: a
+    pass plus the carry and padding of windows up to PASS / 2 samples, and
+    it grows, keeping that size, when a longer window needs more.
+
+    The three start as views of one 2.2 MB allocation. A sweep or a
+    detect makes its buffers per command; as three arrays, their release at
+    its end let glibc trim the heap top and fault it back in on the next
+    command (about 540 faults per `sweep-corpus` op on some seeds). One
+    block is mapped on its own the first time, and when glibc unmaps it, it
+    raises its trim threshold to twice the block's size, so the blocks of
+    later commands come from the heap and stay there.
+    """
+
+    def __init__(self):
+        products = _CASCADE_ROWS * (ROW // SUB) * (SUB + _STATES)
+        block = np.empty(PASS + products + 2 * PASS)
+        self.rows = block[:PASS].reshape(_CASCADE_ROWS, ROW)
+        self.products = block[PASS : PASS + products].reshape(-1, SUB + _STATES)
+        self.squares = block[PASS + products :]
+
+    def squares_for(self, size: int, keep: int) -> np.ndarray:
+        """squares, grown to at least size samples with its first keep samples kept."""
+        if self.squares.shape[0] < size:
+            grown = np.empty(size)
+            grown[:keep] = self.squares[:keep]
+            self.squares = grown
+        return self.squares
+
+
+def sos_passes(plan, x, buffers: PassBuffers):
     """Biquad cascade over x with zero initial state, in two-level block form; plan comes from `sos_plan`.
 
-    x is copied into rows of ROW samples, which each pair overwrites with
-    its output. The cascade runs over _CASCADE_ROWS rows at a time, every
-    pair in turn, so the sub-block products stay in cache; each pair's state
-    carries from one group of rows to the next.
+    Yields the output one pass of PASS samples at a time (the last pass is
+    shorter), as a view of buffers.rows that the next pass overwrites. Each
+    pass copies its samples into rows of ROW samples, zero padded after x,
+    and runs every pair over them in turn, so the sub-block products stay in
+    cache; each pair's state carries from one pass to the next.
     """
     n = x.shape[0]
-    rows = -(-n // ROW)
-    out = np.empty((rows, ROW))
-    flat = out.reshape(-1)
-    flat[:n] = x
-    flat[n:] = 0.0
-    spare = np.empty((min(rows, _CASCADE_ROWS) * (ROW // SUB), SUB + _STATES))
+    flat = buffers.rows.reshape(-1)
     carried = [(0.0,) * _STATES] * len(plan)
-    for r0 in range(0, rows, _CASCADE_ROWS):
-        group = out[r0 : r0 + _CASCADE_ROWS]
-        products = spare[: group.shape[0] * (ROW // SUB)]
+    for p0 in range(0, n, PASS):
+        m = min(PASS, n - p0)
+        rows = -(-m // ROW)
+        flat[:m] = x[p0 : p0 + m]
+        flat[m : rows * ROW] = 0.0  # the filter is causal, so these reach no output; zeros keep the pass finite
+        group = buffers.rows[:rows]
+        products = buffers.products[: rows * (ROW // SUB)]
         for i, pair in enumerate(plan):
             carried[i] = _pair_rows(pair, group, products, carried[i])
-    return flat[:n]
+        yield flat[:m]
+
+
+def sos_filter(plan, x) -> np.ndarray:
+    """The whole output of `sos_passes`, as one array."""
+    out = np.empty(x.shape[0])
+    for p0, y in zip(range(0, x.shape[0], PASS), sos_passes(plan, x, PassBuffers())):
+        out[p0 : p0 + y.shape[0]] = y
+    return out
 
 
 def _pair_rows(pair, x, spare, state):

@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import os
+from json.encoder import encode_basestring_ascii
 
 from .errors import IoFailure, VadKitError
 
@@ -55,7 +58,13 @@ def field_dict(record, **overrides) -> dict:
 
     Values are not copied: a deep copy of each takes about four times as long on a sweep grid.
     """
-    return {f.name: overrides.get(f.name, getattr(record, f.name)) for f in dataclasses.fields(record)}
+    return {name: overrides.get(name, getattr(record, name)) for name in _field_names(type(record))}
+
+
+@functools.cache
+def _field_names(record_class) -> tuple[str, ...]:
+    """The field names of a dataclass, looked up once per class."""
+    return tuple(f.name for f in dataclasses.fields(record_class))
 
 
 def make_output_dir(path) -> None:
@@ -67,10 +76,63 @@ def make_output_dir(path) -> None:
 
 
 def write_json(payload, path) -> None:
-    """`json.dumps` text, indented by 2, plus a newline; dumps, unlike dump, can use the C encoder."""
-    text = json.dumps(payload, indent=2) + "\n"
+    """`json.dumps(payload, indent=2)` text plus a newline, laid out by `_json_text`."""
+    chunks = []
+    _json_text(payload, "\n", chunks.append)
+    chunks.append("\n")
     with open_output(path) as fh:
-        fh.write(text.encode())
+        fh.write("".join(chunks).encode())
+
+
+# How json writes a leaf of exactly one of these types, except that float.__repr__ writes NaN and
+# the infinities as nan, inf and -inf, which _FLOAT_NAMES renames. Subclasses are left to json.
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value, newline: str, put) -> None:
+    """Put the text of `json.dumps(value, indent=2)` in pieces; every line after its first starts with newline.
+
+    json lays out an indent in its pure-Python encoder, whose generators
+    take most of its time. Here dicts, lists and tuples are laid out the
+    same way, two spaces deeper per level, around leaves from _LEAF_TEXT.
+    Any other value, a subclass included, goes to json, whose lines are
+    then moved to this depth (its strings hold no raw newline); json also
+    raises its TypeError for what it cannot write.
+    """
+    is_dict = type(value) is dict
+    if not is_dict and type(value) not in (list, tuple):
+        write = _LEAF_TEXT.get(type(value))
+        if write is None:
+            put(json.dumps(value, indent=2).replace("\n", newline))
+        else:
+            text = write(value)
+            put(_FLOAT_NAMES.get(text, text))
+        return
+    if not value:
+        put("{}" if is_dict else "[]")
+        return
+    inner = newline + "  "
+    separator = ("{" if is_dict else "[") + inner
+    leaf, names = _LEAF_TEXT.get, _FLOAT_NAMES
+    for key, item in value.items() if is_dict else zip(itertools.repeat(None), value):
+        if is_dict:  # a key that is not a str is written as json writes it in {key: 0}
+            separator += (encode_basestring_ascii(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
+        write = leaf(type(item))
+        if write is None:
+            put(separator)
+            _json_text(item, inner, put)
+        else:
+            text = write(item)
+            put(separator + names.get(text, text))
+        separator = "," + inner
+    put(newline + ("}" if is_dict else "]"))
 
 
 def write_json_rows(payload: dict, path) -> None:

@@ -239,16 +239,42 @@ def _decode_into(fh, dtype: np.dtype, full_scale: float | None, channels: int, p
             wide = np.zeros((count, 4), dtype=np.uint8)
             wide[:, 1:] = block.view(np.uint8).reshape(count, 3)
             block = wide.view("<i4").reshape(count)
-        with np.errstate(invalid="ignore"):  # +inf and -inf in one frame average to NaN, refused below
-            _downmix(block.reshape(-1, channels), piece)
+        frames = block.reshape(-1, channels)
         if full_scale is not None:
-            piece /= full_scale
-        elif not np.all(np.isfinite(piece)):
+            _pcm_downmix(frames, piece, full_scale)
+            continue
+        with np.errstate(invalid="ignore"):  # +inf and -inf in one frame average to NaN, refused below
+            _downmix(frames, piece)
+        if not np.all(np.isfinite(piece)):
             raise MalformedWav(f"{path}: non-finite samples in data chunk")
 
 
+def _pcm_downmix(frames: np.ndarray, dest: np.ndarray, full_scale: float) -> None:
+    """Average the integer columns of one block into dest, scaled to [-1, 1) by full_scale, a power of two.
+
+    The columns are summed in integers, int32 for 16-bit samples and int64
+    for wider ones, so the sum is exact for any channel count and stays
+    below 2**53, where float64 holds it exactly. The divide by the channel
+    count is then the one rounding, and the scale is exact: bit-identical to
+    frames.astype(float64).mean(axis=1) / full_scale, whatever order mean sums in.
+    """
+    channels = frames.shape[1]
+    scale = 1.0 / full_scale
+    if channels == 1:
+        np.multiply(frames[:, 0], scale, out=dest)
+        return
+    total = np.add(frames[:, 0], frames[:, 1], dtype=np.int32 if frames.dtype.itemsize == 2 else np.int64)
+    for k in range(2, channels):
+        total += frames[:, k]
+    if channels & (channels - 1):  # dividing by a count that is not a power of two rounds
+        np.divide(total, channels, out=dest)
+        dest *= scale
+    else:
+        np.multiply(total, scale / channels, out=dest)
+
+
 def _downmix(frames: np.ndarray, dest: np.ndarray) -> None:
-    """Average the columns of one block into dest.
+    """Average the float columns of one block into dest.
 
     Bit-identical to frames.astype(float64).mean(axis=1) without making that
     float64 copy; a single column is copied as it is.
@@ -261,8 +287,7 @@ def _downmix(frames: np.ndarray, dest: np.ndarray) -> None:
         np.add(frames[:, 0], frames[:, 1], out=dest, dtype=np.float64)
         for k in range(2, channels):
             dest += frames[:, k]
-        if frames.dtype.kind == "f":
-            dest += 0.0  # so that a frame of -0.0 averages to +0.0, as in mean
+        dest += 0.0  # so that a frame of -0.0 averages to +0.0, as in mean
         dest /= channels
     else:
         # From 8 values up it may sum pairwise; keep mean for this block.
@@ -381,22 +406,17 @@ def _design_polyphase(up: int, source_rate: int, target_rate_hz: int) -> np.ndar
     return h.reshape(taps, up).T * up  # row p holds h[p::up]
 
 
-def frame_samples(samples: np.ndarray, win: int, hop: int, square: bool = False) -> np.ndarray:
+def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     """Rows of `win` samples starting every `hop` samples, as a read-only view.
 
     There are ceil(len / hop) rows and the tail is zero padded, so every
     sample lands in at least one row when hop <= win; a longer hop skips
-    the samples between rows. With square=True the rows hold the squares
-    of the samples, squared straight into the padded copy.
+    the samples between rows.
     """
     n = samples.shape[0]
     n_frames = -(-n // hop)
     xpad = np.zeros((n_frames - 1) * hop + win)
-    head = samples[: xpad.size]
-    if square:
-        np.square(head, out=xpad[:n])
-    else:
-        xpad[:n] = head
+    xpad[:n] = samples[: xpad.size]
     return sliding_window_view(xpad, win)[::hop]
 
 

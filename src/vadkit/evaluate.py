@@ -7,6 +7,7 @@ across clips; derived rates fall back to 0.0 when their denominator is 0.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -18,8 +19,9 @@ import numpy as np
 from .artifacts import field_dict, json_number, read_json, write_json, write_table
 from .audio_io import read_wav
 from .errors import LabelOutOfRange, SweepFailure, VadKitError
-from .filters import BiquadCascade, apply_cascade
-from .vad import VadConfig, VadResult, config_to_dict, frame_energies
+from ._kernels import PassBuffers
+from .filters import BiquadCascade, filter_passes
+from .vad import VadConfig, VadResult, WindowEnergies, config_to_dict, feed_squares
 
 
 @dataclass(frozen=True)
@@ -160,24 +162,58 @@ def _parallel_map(fn, args: list[tuple], jobs: int) -> list:
     return [fn(*a) for a in args]
 
 
-def _clip_counts(clip: LabeledClip, cascade: BiquadCascade, configs, thresholds_db) -> np.ndarray:
+def _clip_counts(clip: LabeledClip, cascade: BiquadCascade, configs, thresholds_db, buffers) -> np.ndarray:
     """Confusion counts of one clip, shape (config, 4, threshold).
 
-    The clip is read, resampled and bandpassed once; `frame_energies` runs
-    once per config, and every threshold is scored from its SNR column.
-    A failure in detection or scoring names the clip and the window.
+    The clip is read and resampled once, and bandpassed pass by pass
+    through buffers, a `PassBuffers`; each pass is squared once, and
+    every config's window takes its frames from those squares. Every
+    threshold is scored from the window's SNR column. A failure in
+    detection or scoring names the clip and the window.
     """
-    buffer = apply_cascade(cascade, read_wav(clip.audio_path, cascade.spec.sample_rate_hz)[0])
+    buffer = read_wav(clip.audio_path, cascade.spec.sample_rate_hz)[0]
+    passes = filter_passes(cascade, buffer, buffers)
+    windows, truths = [], []
+    for config in configs:  # every check that needs no samples, in config order
+        with _naming(clip, config):
+            windows.append(WindowEnergies(config, buffer.sample_rate_hz, len(buffer)))
+            starts = np.arange(windows[-1].frames) * config.hop_s
+            truths.append(truth_frame_flags(starts, config.window_length_s, clip))
+    feed_squares(passes, windows, buffers)
     thresholds = np.array(thresholds_db)[:, None]
     counts = []
-    for config in configs:
-        try:
-            energies, floor_db = frame_energies(buffer, config)
-            truth = truth_frame_flags(np.arange(len(energies)) * config.hop_s, config.window_length_s, clip)
+    for config, window, truth in zip(configs, windows, truths):
+        with _naming(clip, config):
+            energies, floor_db = window.energies()
             counts.append(_confusion_counts(energies - floor_db >= thresholds, truth))
-        except VadKitError as exc:
-            raise type(exc)(f"clip {clip.audio_path}, window {config.window_length_s} s: {exc}") from exc
     return np.array(counts)
+
+
+@contextlib.contextmanager
+def _naming(clip: LabeledClip, config: VadConfig):
+    """Re-raise a VadKitError with the clip and the window named."""
+    try:
+        yield
+    except VadKitError as exc:
+        raise type(exc)(f"clip {clip.audio_path}, window {config.window_length_s} s: {exc}") from exc
+
+
+def _chunk_counts(clips, cascade: BiquadCascade, configs, thresholds_db) -> list[np.ndarray]:
+    """`_clip_counts` of each clip in order, all through one set of pass buffers."""
+    buffers = PassBuffers()
+    return [_clip_counts(clip, cascade, configs, thresholds_db, buffers) for clip in clips]
+
+
+def _counts_per_clip(clips, cascade: BiquadCascade, configs, thresholds_db, jobs: int) -> list[np.ndarray]:
+    """`_clip_counts` of every clip, in order, over up to jobs processes.
+
+    The clips go out in min(jobs, clips) contiguous chunks, one task each,
+    so that each worker reuses one set of pass buffers for its chunk.
+    """
+    tasks = max(1, min(jobs, len(clips)))
+    bounds = [len(clips) * k // tasks for k in range(tasks + 1)]
+    args = [(clips[lo:hi], cascade, configs, thresholds_db) for lo, hi in zip(bounds, bounds[1:])]
+    return [counts for chunk in _parallel_map(_chunk_counts, args, jobs) for counts in chunk]
 
 
 def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int = 1):
@@ -187,8 +223,7 @@ def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int =
     ordered by the input clip list regardless of job count. The aggregate
     sums the per-clip counts, as `sweep` does.
     """
-    args = [(clip, cascade, [config], [config.snr_threshold_db]) for clip in clips]
-    counts = _parallel_map(_clip_counts, args, jobs)  # per clip: (1 config, 4, 1 threshold)
+    counts = _counts_per_clip(clips, cascade, [config], [config.snr_threshold_db], jobs)  # per clip: (1, 4, 1)
     aggregate, *reports = [EvalReport.from_counts(*c[0, :, 0].tolist(), config) for c in [sum(counts), *counts]]
     return aggregate, list(zip(clips, reports))
 
@@ -219,8 +254,8 @@ def sweep(
             points.append(dataclasses.replace(base_config, **values))
         except VadKitError as exc:
             raise SweepFailure(f"grid point (window={window_s}, threshold={threshold_db}): {exc}") from exc
-    args = [(clip, cascade, points[:: len(thresholds_db)], thresholds_db) for clip in clips]
-    counts = sum(_parallel_map(_clip_counts, args, jobs))  # (window, 4, threshold)
+    windows = points[:: len(thresholds_db)]
+    counts = sum(_counts_per_clip(clips, cascade, windows, thresholds_db, jobs))  # (window, 4, threshold)
     grid = tuple(
         GridPoint(config.window_length_s, config.snr_threshold_db, EvalReport.from_counts(*point_counts, config))
         for config, point_counts in zip(points, counts.transpose(0, 2, 1).reshape(-1, 4).tolist())

@@ -174,15 +174,27 @@ def response_sweep(cascade: BiquadCascade, freqs_hz) -> np.ndarray:
     return np.array([frequency_response(cascade, f) for f in np.asarray(freqs_hz, dtype=float)])
 
 
-def apply_cascade(cascade: BiquadCascade, buffer: AudioBuffer) -> AudioBuffer:
-    """Run the cascade causally (zero initial state) over a buffer."""
+def _check_rate(cascade: BiquadCascade, buffer: AudioBuffer) -> None:
     if buffer.sample_rate_hz != cascade.spec.sample_rate_hz:
         raise RateMismatch(
             f"buffer at {buffer.sample_rate_hz} Hz, cascade designed for "
             f"{cascade.spec.sample_rate_hz} Hz"
         )
-    y = _kernels.sos_filter(cascade.plan, buffer.samples)
-    return AudioBuffer(y, buffer.sample_rate_hz)
+
+
+def filter_passes(cascade: BiquadCascade, buffer: AudioBuffer, buffers: _kernels.PassBuffers):
+    """The cascade run causally (zero initial state) over a buffer, pass by pass as `_kernels.sos_passes` yields it.
+
+    Each pass is a view of buffers.rows, valid until the next pass is taken.
+    """
+    _check_rate(cascade, buffer)
+    return _kernels.sos_passes(cascade.plan, buffer.samples, buffers)
+
+
+def apply_cascade(cascade: BiquadCascade, buffer: AudioBuffer) -> AudioBuffer:
+    """Run the cascade causally (zero initial state) over a buffer: the passes of `filter_passes` in one array."""
+    _check_rate(cascade, buffer)
+    return AudioBuffer(_kernels.sos_filter(cascade.plan, buffer.samples), buffer.sample_rate_hz)
 
 
 def cascade_to_dict(cascade: BiquadCascade) -> dict:

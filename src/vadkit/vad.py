@@ -12,11 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from ._kernels import PassBuffers
 from .artifacts import field_dict, write_table
 from .audio_io import AudioBuffer, frame_samples, sample_count
 from .errors import EmptySignal, InvalidSpec, NoFrames
-from .filters import BiquadCascade, apply_cascade
+from .filters import BiquadCascade, filter_passes
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,8 @@ class VadResult:
     config: VadConfig
 
 
-def frame_signal(buffer: AudioBuffer, config: VadConfig, square: bool = False) -> np.ndarray:
-    """Cut the buffer into frames, one per row, or its squares with square=True.
+def frame_signal(buffer: AudioBuffer, config: VadConfig) -> np.ndarray:
+    """Cut the buffer into frames, one per row.
 
     The final frame is zero padded to full window length, so every sample
     lands in at least one frame and frame count is ceil(len / hop).
@@ -80,7 +82,7 @@ def frame_signal(buffer: AudioBuffer, config: VadConfig, square: bool = False) -
     if len(buffer) == 0:
         raise EmptySignal("cannot frame an empty signal")
     rate = buffer.sample_rate_hz
-    return frame_samples(buffer.samples, config.window_samples(rate), config.hop_samples(rate), square)
+    return frame_samples(buffer.samples, config.window_samples(rate), config.hop_samples(rate))
 
 
 def frame_energy_db(frame: np.ndarray, energy_floor: float = VadConfig.energy_floor) -> float:
@@ -120,26 +122,87 @@ def merge_intervals(frames: np.recarray, config: VadConfig) -> tuple[tuple[float
     )
 
 
-def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
-    """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference."""
-    # Framing the squares gives each frame's squares as one row, so one
-    # add.reduce per window sums every row pairwise, as np.mean does. The
-    # squares go straight into the padded frame array, the one clip-sized
-    # copy. The log stays scalar, because np.log10 can differ from
-    # math.log10 by one ulp.
-    squares = frame_signal(buffer, config, square=True)
-    powers = np.add.reduce(squares, axis=1) / squares.shape[1]
-    energies = np.array([10.0 * math.log10(max(power, config.energy_floor)) for power in powers.tolist()])
-    return energies, estimate_noise_floor_db(energies, config)
+class WindowEnergies:
+    """The energy column of one window over a clip of n samples, reduced from the clip's squares pass by pass.
 
-
-def detect_prefiltered(buffer: AudioBuffer, config: VadConfig) -> VadResult:
-    """Threshold the frame SNRs of `frame_energies` and merge speech runs.
-
-    The buffer is taken as already bandpassed; `detect` is the entry point
-    that includes the filter stage.
+    The window's frames are those of `frame_signal`: ceil(n / hop) rows of
+    win samples, every hop samples, the last zero padded. The per-window
+    checks (an empty clip, a window or hop over the size limit) raise here,
+    before any sample is filtered.
     """
-    energies, floor_db = frame_energies(buffer, config)
+
+    def __init__(self, config: VadConfig, sample_rate_hz: int, n: int):
+        if n == 0:
+            raise EmptySignal("cannot frame an empty signal")
+        self.config, self.n = config, n
+        self.win = config.window_samples(sample_rate_hz)
+        self.hop = config.hop_samples(sample_rate_hz)
+        self.frames = -(-n // self.hop)
+        self.reach = (self.frames - 1) * self.hop + self.win  # where the padded last frame ends
+        self.done = 0  # frames reduced so far; the next starts at done * hop
+        self.powers = []
+
+    def take(self, squares: np.ndarray, start: int, end: int) -> None:
+        """Reduce the frames not yet taken that end by end; squares[i] is the square of sample start + i.
+
+        Each frame is one row of a strided view of squares, and one
+        add.reduce sums every row pairwise, as np.mean does, whatever the
+        number of rows.
+        """
+        count = min(self.frames, (end - self.win) // self.hop + 1) - self.done
+        if count > 0:
+            first = self.done * self.hop - start
+            rows = sliding_window_view(squares[first : first + (count - 1) * self.hop + self.win], self.win)
+            self.powers.append(np.add.reduce(rows[:: self.hop], axis=1) / self.win)
+            self.done += count
+
+    def energies(self) -> tuple[np.ndarray, float]:
+        """Frame energies and the noise floor, both in dB, once every frame is taken; SNR is their difference."""
+        # The log stays scalar, because np.log10 can differ from math.log10 by one ulp.
+        powers = np.maximum(np.concatenate(self.powers), self.config.energy_floor)
+        energies = 10.0 * np.array(list(map(math.log10, powers.tolist())))
+        return energies, estimate_noise_floor_db(energies, self.config)
+
+
+def feed_squares(passes, windows, buffers: PassBuffers) -> None:
+    """Square each pass of a bandpassed clip once, into buffers.squares, and let every window take its frames.
+
+    passes are consecutive pieces of the clip, of any sizes; windows are
+    `WindowEnergies` of that clip. Between passes buffers.squares keeps the
+    squares from the earliest frame some window has still to take, which is
+    less than the longest window; after the last pass it holds the zeros of
+    the padded last frames.
+    """
+    n = windows[0].n
+    tail = max(window.reach for window in windows) - n  # zeros after the clip that padded last frames read
+    held = top = 0  # buffers.squares[:held] holds the squares of samples top - held .. top
+    for block in passes:
+        m = block.shape[0]
+        last = top + m == n
+        squares = buffers.squares_for(held + m + (tail if last else 0), held)
+        np.square(block, out=squares[held : held + m])
+        start, top = top - held, top + m
+        if last:
+            squares[held + m : held + m + tail] = 0.0
+        for window in windows:
+            window.take(squares, start, top + tail if last else top)
+        keep = max(top - min(window.done * window.hop for window in windows), 0)
+        squares[:keep] = squares[held + m - keep : held + m]
+        held = keep
+
+
+def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
+    """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference.
+
+    The one-pass case of `feed_squares`: the squares go into one padded array.
+    """
+    window = WindowEnergies(config, buffer.sample_rate_hz, len(buffer))
+    feed_squares([buffer.samples], [window], PassBuffers())
+    return window.energies()
+
+
+def _decide(energies: np.ndarray, floor_db: float, config: VadConfig) -> VadResult:
+    """Threshold the frame SNRs and merge speech runs."""
     index = np.arange(len(energies))
     snr = energies - floor_db
     records = np.rec.fromarrays(
@@ -154,12 +217,27 @@ def detect_prefiltered(buffer: AudioBuffer, config: VadConfig) -> VadResult:
     )
 
 
+def detect_prefiltered(buffer: AudioBuffer, config: VadConfig) -> VadResult:
+    """Threshold the frame SNRs of `frame_energies` and merge speech runs.
+
+    The buffer is taken as already bandpassed; `detect` is the entry point
+    that includes the filter stage.
+    """
+    return _decide(*frame_energies(buffer, config), config)
+
+
 def detect(buffer: AudioBuffer, cascade: BiquadCascade, config: VadConfig) -> VadResult:
-    """Full pipeline: bandpass the buffer, then classify frames."""
+    """Full pipeline: bandpass the buffer pass by pass, square each pass once, then classify frames.
+
+    No array holds the filtered signal or its squares.
+    """
     if len(buffer) == 0:
         raise EmptySignal("cannot run detection on an empty signal")
-    buffer = apply_cascade(cascade, buffer)  # frees the unfiltered samples when the caller holds no reference
-    return detect_prefiltered(buffer, config)
+    buffers = PassBuffers()
+    passes = filter_passes(cascade, buffer, buffers)
+    window = WindowEnergies(config, buffer.sample_rate_hz, len(buffer))
+    feed_squares(passes, [window], buffers)
+    return _decide(*window.energies(), config)
 
 
 def config_to_dict(config: VadConfig) -> dict:

@@ -255,6 +255,32 @@ def test_downmix_is_bit_identical_to_numpy_mean(tmp_path, channels):
         assert got.samples.tobytes() == (want.reshape(-1) / full_scale).tobytes()
 
 
+@pytest.mark.parametrize("bits", (16, 24, 32))
+@pytest.mark.parametrize("channels", (2, 3, 8, 10, 64))
+def test_pcm_downmix_is_exact_at_full_scale(tmp_path, bits, channels):
+    """The integer column sums are exact at every width: frames at the most
+    negative and most positive codes average as one float mean does."""
+    lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+    ints = np.random.default_rng(bits * channels).integers(lo, hi + 1, (300, channels))
+    ints[:100], ints[100:200] = lo, hi
+    ints[200:210] = np.where(np.arange(channels) % 2, hi, lo)
+    data = ints.astype("<i8").view(np.uint8).reshape(-1, 8)[:, : bits // 8].tobytes()
+    (tmp_path / "x.wav").write_bytes(_wav(_fmt(1, channels, bits), data))
+    got, _ = read_wav(tmp_path / "x.wav")
+    assert got.samples.tobytes() == (ints.astype(np.float64).mean(axis=1) / 2.0 ** (bits - 1)).tobytes()
+
+
+def test_pcm16_downmix_of_the_most_channels_a_header_holds(tmp_path):
+    """65,535 channels at -32768 sum to -2,147,450,880, which int32 still holds."""
+    channels = 65535
+    ints = np.array([[-32768] * channels, [32767] * channels, [-32768, 32767] * (channels // 2) + [0]])
+    fmt_body = struct.pack("<HHIIHH", 1, channels, 16000, 0, 0, 16)  # byte rate and block align are not read
+    (tmp_path / "x.wav").write_bytes(_wav(fmt_body, ints.astype("<i2").tobytes()))
+    got, _ = read_wav(tmp_path / "x.wav")
+    assert got.samples.tolist() == (ints.astype(np.float64).mean(axis=1) / 32768.0).tolist()
+    assert got.samples[0] == -1.0
+
+
 @pytest.mark.parametrize("channels", (1, 2, 3))
 def test_wider_pcm_and_extensible_decode_like_their_twins(tmp_path, channels):
     rng = np.random.default_rng(channels)

@@ -25,6 +25,7 @@ from vadkit import (
     sweep,
 )
 from vadkit.errors import LabelOutOfRange, SweepFailure
+from vadkit._kernels import PassBuffers
 from vadkit.evaluate import _clip_counts, sweep_to_csv
 from vadkit.vad import FRAME_DTYPE, detect_prefiltered, merge_intervals
 
@@ -286,7 +287,7 @@ def test_energy_column_scoring_matches_full_detection(filtered_clips, index, win
     clip, filtered = pairs[index]
     configs = [VadConfig(window_length_s=w, hop_length_s=None if hop_fraction is None else w * hop_fraction)
                for w in windows]
-    counts = _clip_counts(clip, cascade, configs, thresholds)
+    counts = _clip_counts(clip, cascade, configs, thresholds, PassBuffers())
     for config, config_counts in zip(configs, counts):
         for threshold, column in zip(thresholds, config_counts.T.tolist()):
             report = score(detect_prefiltered(filtered, dataclasses.replace(config, snr_threshold_db=threshold)), clip)
@@ -298,7 +299,8 @@ def test_each_clip_is_filtered_once_and_detected_once_per_window(corpus_dir, mon
 
     clips, cascade = _sweep_fixture(corpus_dir)
     calls = collections.Counter()
-    for name in ("apply_cascade", "frame_energies"):
+    # One filter pass and one squared pass per clip; one energy column per (clip, window).
+    for name in ("filter_passes", "feed_squares", "WindowEnergies"):
 
         def counted(*args, _name=name, _original=getattr(evaluate, name)):
             calls[_name] += 1
@@ -306,10 +308,36 @@ def test_each_clip_is_filtered_once_and_detected_once_per_window(corpus_dir, mon
 
         monkeypatch.setattr(evaluate, name, counted)
     sweep(clips[:3], [0.155, 0.31], [6.0, 12.0, 20.0], cascade)
-    assert calls == {"apply_cascade": 3, "frame_energies": 6}
+    assert calls == {"filter_passes": 3, "feed_squares": 3, "WindowEnergies": 6}
     calls.clear()
     evaluate_clips(clips[:3], cascade, VadConfig())
-    assert calls == {"apply_cascade": 3, "frame_energies": 3}
+    assert calls == {"filter_passes": 3, "feed_squares": 3, "WindowEnergies": 3}
+
+
+def test_clips_of_one_task_share_one_set_of_pass_buffers(corpus_dir, monkeypatch):
+    from vadkit import evaluate
+
+    clips, cascade = _sweep_fixture(corpus_dir)
+    configs = [VadConfig(window_length_s=w) for w in (0.155, 0.62)]
+    made, seen = [], []
+
+    def counted_buffers():
+        made.append(PassBuffers())
+        return made[-1]
+
+    monkeypatch.setattr(evaluate, "PassBuffers", counted_buffers)
+
+    def recorded(clip, cascade, configs, thresholds_db, buffers):
+        counts = _clip_counts(clip, cascade, configs, thresholds_db, buffers)
+        seen.append((buffers, buffers.rows, buffers.products, buffers.squares))
+        return counts
+
+    monkeypatch.setattr(evaluate, "_clip_counts", recorded)
+    counts = evaluate._counts_per_clip(clips[:4], cascade, configs, [6.0, 12.0], jobs=1)
+    assert len(made) == 1 and len(seen) == 4
+    assert all(all(a is b for a, b in zip(entry, seen[0])) for entry in seen)
+    for clip, clip_counts in zip(clips[:4], counts):  # as fresh buffers give them
+        assert (clip_counts == _clip_counts(clip, cascade, configs, [6.0, 12.0], PassBuffers())).all()
 
 
 def test_sweep_csv_format(corpus_dir, tmp_path):

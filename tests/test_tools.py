@@ -92,3 +92,17 @@ def test_bench_pairs_summary_of_one_pair():
     one = bench_pairs.summarize([2.0], [2.0], "lower", 0.25)
     assert one["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 1}
     assert (one["change_wins"], one["ties"], one["gain_beyond_parent_iqr"], one["within_bound"]) == (0, 1, False, True)
+
+
+def test_bench_pairs_clears_bytecode_from_a_checkout(tmp_path):
+    root = _tree(tmp_path / "c", {
+        "src/vadkit/__pycache__/cli.cpython-311.pyc": b"\x00",
+        "src/vadkit/cli.py": "",
+        "perfbench/__pycache__/spans.cpython-311.pyc": b"\x00",
+        "perfbench/__pycache__/nested/__pycache__/x.pyc": b"\x00",
+        "tools/bench_pairs.py": "",
+    })
+    assert bench_pairs.clear_bytecode(root) == 2
+    left = sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
+    assert left == ["perfbench", "src", "src/vadkit", "src/vadkit/cli.py", "tools", "tools/bench_pairs.py"]
+    assert bench_pairs.clear_bytecode(root) == 0

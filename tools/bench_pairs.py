@@ -5,7 +5,9 @@
 PARENT and CHANGE are checkouts of the repository. Pair i runs
 `perfbench/run.py --workload WORKLOAD --seed FIRST_SEED+i --trace 0` once in
 each, for the `run_seconds` of PARENT's BENCHMARK.json, one run at a time:
-the parent first in even pairs, the change first in odd ones. Besides the
+the parent first in even pairs, the change first in odd ones. Before the
+first pair it removes every `__pycache__` directory from both checkouts, so
+that neither side imports from bytecode the other has to compile. Besides the
 benchmark's end-to-end metrics, each run records `ops`, the ops it measured,
 and `minor_faults`, the minor page faults of all its processes (getrusage of
 the children, set-ups included).
@@ -25,6 +27,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -73,6 +76,18 @@ def summarize(parent_runs: list[float], change_runs: list[float], better: str, b
     }
 
 
+def clear_bytecode(checkout: str) -> int:
+    """Remove every `__pycache__` directory under checkout; returns how many there were."""
+    found = []
+    for dirpath, dirnames, _ in os.walk(checkout):
+        if "__pycache__" in dirnames:
+            dirnames.remove("__pycache__")
+            found.append(os.path.join(dirpath, "__pycache__"))
+    for path in found:
+        shutil.rmtree(path)
+    return len(found)
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
     """One benchmark run: its end-to-end metrics plus ops and minor_faults, or None if it failed."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
@@ -108,6 +123,10 @@ def main(argv=None) -> int:
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     metrics.update({name: (better, None) for name, better in EXTRA.items()})
 
+    for side in ("parent", "change"):
+        cleared = clear_bytecode(getattr(args, side))
+        if cleared:
+            print(f"removed {cleared} __pycache__ directories from the {side} checkout", file=sys.stderr)
     runs = {"parent": [], "change": []}
     seeds, failed = [], []
     for i in range(args.pairs):
