@@ -13,6 +13,9 @@ import math
 import os
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+import orjson
+
 from .errors import IoFailure, VadKitError
 
 # Rows formatted per write: the text of a whole long table would raise peak memory.
@@ -102,12 +105,24 @@ def _json_text(value, newline: str, put) -> None:
     json lays out an indent in its pure-Python encoder, whose generators
     take most of its time. Here dicts, lists and tuples are laid out the
     same way, two spaces deeper per level, around leaves from _LEAF_TEXT.
-    Any other value, a subclass included, goes to json, whose lines are
-    then moved to this depth (its strings hold no raw newline); json also
-    raises its TypeError for what it cannot write.
+    A float64 or integer ndarray is laid out as its `.tolist()` would be,
+    with its numbers from number_texts. Any other value, a subclass
+    included, goes to json, whose lines are then moved to this depth (its
+    strings hold no raw newline); json also raises its TypeError for what
+    it cannot write.
     """
     is_dict = type(value) is dict
-    if not is_dict and type(value) not in (list, tuple):
+    is_array = _is_number_array(value)
+    if is_array and value.ndim < 2:
+        if value.ndim == 0:
+            _json_text(value.tolist(), newline, put)
+        elif value.size:
+            inner = newline + "  "
+            put("[" + inner + _json_numbers(value, ("," + inner).encode()).decode() + newline + "]")
+        else:
+            put("[]")
+        return
+    if not (is_dict or is_array) and type(value) not in (list, tuple):
         write = _LEAF_TEXT.get(type(value))
         if write is None:
             put(json.dumps(value, indent=2).replace("\n", newline))
@@ -115,7 +130,7 @@ def _json_text(value, newline: str, put) -> None:
             text = write(value)
             put(_FLOAT_NAMES.get(text, text))
         return
-    if not value:
+    if not len(value):
         put("{}" if is_dict else "[]")
         return
     inner = newline + "  "
@@ -136,30 +151,98 @@ def _json_text(value, newline: str, put) -> None:
 
 
 def write_json_rows(payload: dict, path) -> None:
-    """`json.dumps(payload)` text plus a newline, the items of payload's last value, a list, encoded one at a time.
+    """`json.dumps(payload)` text plus a newline, the items of payload's last value encoded one at a time.
 
-    The C encoder holds the text of every number in a payload until it joins
-    them; item by item, it holds one item's.
+    The last value is a list, or an array iterated by rows. The C encoder
+    holds the text of every number in a payload until it joins them; item
+    by item, it holds one item's. A 1-D float64 or integer array item is
+    written as json writes its `.tolist()`, from number_texts.
     """
     *head, (key, items) = payload.items()
     with open_output(path) as fh:
         fh.write(json.dumps({**dict(head), key: []})[:-2].encode())  # all but the closing "]}"
         for i, item in enumerate(items):
-            fh.write(((", " if i else "") + json.dumps(item)).encode())
+            if _is_number_array(item) and item.ndim == 1:
+                text = b"[" + _json_numbers(item, b", ") + b"]"
+            else:
+                text = json.dumps(item).encode()
+            fh.write((b", " if i else b"") + text)
         fh.write(b"]}\n")
 
 
 def write_table(path, columns: dict, line_end: str) -> None:
     """A header of column names, then one line per row of comma-separated cells.
 
-    columns maps each name to an equal-length 1-D numpy array. Each block of
-    rows is converted with `.tolist()`, so a cell's text is the repr of a
-    Python int or float, which is also what `csv` writes for it.
+    columns maps each name to an equal-length 1-D numpy array. A cell's text
+    is the repr of the Python int or float that `.tolist()` makes of it,
+    which is also what `csv` writes for it: number_texts gives it for
+    integer and float columns (float16 and float32 widened to float64, as
+    `.tolist()` widens them), and `.tolist()` for any other dtype. Each
+    block of rows is written on its own.
     """
     arrays = list(columns.values())
-    row = ",".join(["{!r}"] * len(arrays)) + line_end
+    cell_texts = [
+        number_texts if a.dtype.kind in "iu" or (a.dtype.kind == "f" and a.dtype.itemsize <= 8) else _reprs
+        for a in arrays
+    ]
     with open_output(path) as fh:
         fh.write((",".join(columns) + line_end).encode())
         for start in range(0, len(arrays[0]), _BLOCK_ROWS):
-            cells = [a[start : start + _BLOCK_ROWS].tolist() for a in arrays]
-            fh.write("".join(map(row.format, *cells)).encode())
+            cells = [texts(a[start : start + _BLOCK_ROWS]) for texts, a in zip(cell_texts, arrays)]
+            fh.write((line_end.join(map(",".join, zip(*cells))) + line_end).encode())
+
+
+def _reprs(column) -> list[str]:
+    """repr of each element of column's `.tolist()`."""
+    return list(map(repr, column.tolist()))
+
+
+def number_texts(column) -> list[str]:
+    """`repr(x)` for each element x of a 1-D float or integer array, floats widened to float64.
+
+    orjson writes the text of the whole array in one C call. Its floats have
+    the shortest digits that round-trip, as repr's do; it lays them out
+    differently only outside 1e-4 <= |x| < 1e16 (0.0000625 for 6.25e-05,
+    1e16 for 1e+16) and writes null for NaN and the infinities, and those
+    few elements get repr.
+    """
+    column = _number_column(column)
+    texts = _orjson_body(column).decode().split(",") if column.size else []
+    irregular = _irregular(column)
+    for i, value in zip(irregular.tolist(), column[irregular].tolist()):
+        texts[i] = repr(value)
+    return texts
+
+
+def _json_numbers(column, separator: bytes) -> bytes:
+    """json's text of each number of a 1-D float or integer array, joined by separator."""
+    column = _number_column(column)
+    if _irregular(column).size:
+        return separator.join(_FLOAT_NAMES.get(text, text).encode() for text in number_texts(column))
+    return _orjson_body(column).replace(b",", separator)
+
+
+def _is_number_array(value) -> bool:
+    """Whether value is an ndarray (not a subclass) of float64 or an integer dtype."""
+    return type(value) is np.ndarray and (value.dtype.kind in "iu" or value.dtype == np.float64)
+
+
+def _number_column(column) -> np.ndarray:
+    """column as orjson can read it: C-contiguous, floats as float64."""
+    return np.ascontiguousarray(column, dtype=np.float64 if column.dtype.kind == "f" else None)
+
+
+def _orjson_body(column) -> bytes:
+    """orjson's text of a contiguous 1-D array, without its brackets."""
+    return orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+
+
+def _irregular(column) -> np.ndarray:
+    """Indices of the elements whose orjson text is not their repr: non-zero floats outside 1e-4 <= |x| < 1e16.
+
+    NaN, outside every range, is one of them.
+    """
+    if column.dtype.kind != "f":
+        return np.empty(0, dtype=np.intp)
+    magnitude = np.abs(column)
+    return np.flatnonzero(~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (column == 0)))

@@ -52,6 +52,10 @@ _KAISER_BETA = 8.6
 # The most samples, or resampler coefficients, that one array sized by a
 # setting may hold: 128 MiB of float64. 44101 -> 16000 Hz needs 1,024,000.
 SIZE_LIMIT = 2**24
+# Output samples per input sample that a resample may make once its output is
+# over SIZE_LIMIT. No audio rate pair upsamples by more than 24 (8 -> 192 kHz);
+# 0.25 s at 16 kHz taken to 3 GHz would need 6 GB.
+_UPSAMPLING_LIMIT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,7 +352,9 @@ def resample(buffer: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
     Kaiser window (beta 8.6), 64 taps per phase, cutoff at the lower of the
     two Nyquist frequencies. Output length is ceil(n * target / source) so
     duration is preserved to within one output sample period. A rate pair
-    whose table of up x 64 taps would exceed 2**24 raises InvalidSpec.
+    whose table of up x 64 taps would exceed 2**24 raises InvalidSpec, as
+    does an output over 2**24 samples that is also over _UPSAMPLING_LIMIT
+    times the input.
     """
     convert = _rate_converter(buffer.sample_rate_hz, target_rate_hz)
     if convert is None:
@@ -360,8 +366,8 @@ def _rate_converter(source_rate: int, target_rate_hz: int):
     """`resample`'s filter as a function of (samples, their count), or None when the rates match.
 
     The samples are an array or a fill function, as `_kernels.polyphase_filter`
-    takes them. A bad target rate or an oversized table raises here, before
-    any sample is read.
+    takes them. A bad target rate or an oversized table raises here, and an
+    oversized output when the function is called, before it reads a sample.
     """
     if target_rate_hz <= 0:
         raise InvalidRate(f"target rate must be positive, got {target_rate_hz}")
@@ -375,14 +381,24 @@ def _rate_converter(source_rate: int, target_rate_hz: int):
             f"cannot resample {source_rate} Hz to {target_rate_hz} Hz: the polyphase table would hold "
             f"{up * _kernels.RESAMPLER_TAPS} coefficients, over the limit of {SIZE_LIMIT}"
         )
-    phase_taps = _design_polyphase(up, source_rate, target_rate_hz)
-    return lambda samples, n: _kernels.polyphase_filter(samples, phase_taps, up, down, -(-n * up // down), n)
+
+    def convert(samples, n):
+        n_out = -(-n * up // down)
+        if n_out > max(SIZE_LIMIT, _UPSAMPLING_LIMIT * n):
+            raise InvalidSpec(
+                f"cannot resample {n} samples from {source_rate} Hz to {target_rate_hz} Hz: the {n_out} samples "
+                f"out are over the limit of {SIZE_LIMIT} and over {_UPSAMPLING_LIMIT} times the input"
+            )
+        phase_taps = _design_polyphase(up, source_rate, target_rate_hz)
+        return _kernels.polyphase_filter(samples, phase_taps, up, down, n_out, n)
+
+    return convert
 
 
 def sample_count(name: str, seconds: float, sample_rate_hz: int) -> int:
-    """round(seconds * rate); InvalidSpec names the setting unless that product is at most SIZE_LIMIT."""
+    """round(seconds * rate); InvalidSpec names the setting unless that product is at most SIZE_LIMIT in magnitude."""
     count = seconds * sample_rate_hz
-    if not count <= SIZE_LIMIT:  # also NaN, infinity, and a finite length that overflows here
+    if not abs(count) <= SIZE_LIMIT:  # also NaN, either infinity, and a finite length that overflows here
         raise InvalidSpec(f"{name} of {seconds} s at {sample_rate_hz} Hz must come to at most {SIZE_LIMIT} samples")
     return int(round(count))
 

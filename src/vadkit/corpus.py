@@ -20,7 +20,7 @@ import numpy as np
 
 from .artifacts import make_output_dir, write_json
 from .audio_io import AudioBuffer, sample_count, write_wav
-from .errors import InvalidSpec
+from .errors import InvalidRate, InvalidSpec
 from .evaluate import LabeledClip, save_manifest
 from .mixing import MixSpec, mix
 
@@ -115,6 +115,8 @@ def corpus_clip_samples(seed: int, sample_rate_hz: int = 16000, clip_duration_s:
     """Samples per corpus clip; InvalidSpec for a setting `generate_corpus` cannot use."""
     if seed < 0:  # numpy's seeding raises a plain ValueError
         raise InvalidSpec(f"seed must be non-negative, got {seed}")
+    if sample_rate_hz <= 0:
+        raise InvalidRate(f"sample rate must be positive, got {sample_rate_hz}")
     n = sample_count("clip_duration_s", clip_duration_s, sample_rate_hz)
     if clip_duration_s < max(g[-1][1] for g in (_GATES_A, _GATES_B)):
         raise InvalidSpec(f"clip duration {clip_duration_s} s too short for the gate schedule")
@@ -129,7 +131,6 @@ def generate_corpus(
 ) -> list[LabeledClip]:
     """Write the corpus under out_dir and return its clips in manifest order."""
     n = corpus_clip_samples(seed, sample_rate_hz, clip_duration_s)
-    make_output_dir(out_dir)
     rng = np.random.default_rng(seed)
     fs = sample_rate_hz
 
@@ -137,6 +138,7 @@ def generate_corpus(
     pink = _pink_noise(rng, n)
     speech_a = _speech_surrogate(rng, n, fs, f0_hz=170.0, gates=_GATES_A)
     speech_b = _speech_surrogate(rng, n, fs, f0_hz=145.0, gates=_GATES_B)
+    make_output_dir(out_dir)  # after the gates, which a low rate leaves too short for their ramps
 
     clips = [
         _write_clip(out_dir, "silence.wav", np.zeros(n), fs, (), "pure silence"),

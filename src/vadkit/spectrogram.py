@@ -75,13 +75,14 @@ def spectrogram(buffer: AudioBuffer, fft_size: int = 1024, hop_samples: int = 51
 
 
 def to_json_dict(spec: SpectrogramMatrix) -> dict:
+    """The matrix and its settings; magnitudes_db stays the 2-D array, which the JSON writers write as a list."""
     return {
         "fft_size": spec.fft_size,
         "hop_samples": spec.hop_samples,
         "sample_rate_hz": spec.sample_rate_hz,
         "frame_count": spec.frame_count,
         "bin_count": spec.bin_count,
-        "magnitudes_db": spec.magnitudes_db.tolist(),
+        "magnitudes_db": spec.magnitudes_db,
     }
 
 

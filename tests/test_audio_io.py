@@ -642,6 +642,34 @@ def test_resample_from_a_megahertz_rate_holds_bounded_bands():
     assert peak < 64 << 20, peak
 
 
+def test_read_from_a_megahertz_rate_holds_a_bounded_window(tmp_path):
+    """read_wav of 3 s of 1,000,003 Hz mono PCM16 at 16 kHz. Products of 1024
+    rows spanned about 2 M input samples each here, and the read peaked at
+    46.0 MB of traced memory. Products of at most _CHUNK_SPAN input samples,
+    with at most _BANDS_HELD group matrices held, peak at 17.0 MB: the
+    polyphase table (8.2 MB), the list of 24,000 products (6.2 MB), and the window."""
+    rate = 1_000_003
+    assert _kernels._CHUNK_SPAN // (rate // math.gcd(rate, 16000)) == 0  # one row per product
+    samples = np.random.default_rng(12).integers(-3000, 3000, 3 * rate).astype("<i2")
+    path = tmp_path / "mhz.wav"
+    path.write_bytes(_wav(_fmt(1, 1, 16, rate), samples.tobytes()))
+    tracemalloc.start()
+    try:
+        buf, _ = read_wav(path, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == 48000
+    assert peak < 24e6, peak
+
+
+@pytest.mark.parametrize("source, target", ((44100, 16000), (48000, 16000), (22050, 16000), (11025, 16000),
+                                            (8000, 16000), (96000, 1000), (176400, 16000), (8000, 44100)))
+def test_common_rate_pairs_keep_1024_rows_per_product(source, target):
+    down = source // math.gcd(source, target)
+    assert min(_kernels._CHUNK_ROWS, _kernels._CHUNK_SPAN // down) == 1024
+
+
 def test_detect_on_a_gigahertz_header_does_not_exhaust_memory(tmp_path):
     """A 1000-frame PCM16 file whose header says 4,294,967,291 Hz: detect ends
     in exit 0 or 2, within a 3 GB address space, never in an internal error."""
@@ -658,6 +686,15 @@ def test_detect_on_a_gigahertz_header_does_not_exhaust_memory(tmp_path):
         cwd=tmp_path, env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode in (0, 2), done.stderr
+
+
+def test_an_upsampled_output_over_the_limit_is_refused_before_it_is_made(tmp_path):
+    """16 kHz to 3 GHz makes 187,500 samples of each input sample: 0.25 s would need 6 GB."""
+    with pytest.raises(InvalidSpec, match="over 64 times the input"):
+        resample(AudioBuffer(np.zeros(4000), 16000), 3_000_000_000)
+    write_wav(AudioBuffer(np.zeros(4000), 16000), tmp_path / "short.wav")
+    with pytest.raises(InvalidSpec, match="over 64 times the input"):
+        read_wav(tmp_path / "short.wav", 3_000_000_000)
 
 
 def test_resample_identity():

@@ -614,3 +614,63 @@ def test_version_flag():
     )
     assert out.returncode == 0
     assert "0.1.0" in out.stdout
+
+
+def _fresh_process(argv, cwd):
+    """`python -m vadkit.cli argv` in a new process, in cwd, with help text laid out for 80 columns."""
+    import vadkit
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vadkit.__file__)), "COLUMNS": "80"}
+    return subprocess.run([sys.executable, "-m", "vadkit.cli", *map(str, argv)], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def _files(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_one_parser_per_process_writes_what_fresh_processes_write(cli_corpus, tmp_path, capsys, monkeypatch):
+    """main parses every call with one parser, built once; commands run one after
+    another in a process write the bytes and print the text of fresh processes."""
+    from vadkit import cli
+
+    assert cli._parser() is cli._parser()
+    speech, manifest = cli_corpus / "speech_a.wav", cli_corpus / "manifest.json"
+    commands = [
+        ["detect", speech, "--out", "d1.json", "--frames-csv", "d1.csv"],
+        ["sweep", "--manifest", manifest, "--windows", "0.155,0.31", "--thresholds", "6,12", "--out", "s1.json"],
+        ["repro-figures", "--out-dir", "r1", "--seed", "2"],
+        ["detect", speech, "--out", "d2.json", "--threshold", "9", "--window", "0.155"],
+        ["sweep", "--manifest", manifest, "--windows", "0.31", "--thresholds", "3", "--csv", "s2.csv"],
+        ["repro-figures", "--out-dir", "r2", "--snr", "5"],
+        ["detect", speech, "--out", "d3.json"],
+    ]
+    here, fresh = tmp_path / "one", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    for argv in commands:
+        assert main([str(a) for a in argv]) == 0
+        done = _fresh_process(argv, fresh)
+        assert done.returncode == 0, done.stderr
+        assert capsys.readouterr().out == done.stdout, argv
+    assert _files(here) == _files(fresh)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["detect", "--help"], ["sweep", "--help"],
+                                  ["repro-figures", "--help"], ["mix", "--help"]])
+def test_help_and_version_text_is_unchanged_by_earlier_calls(argv, cli_corpus, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    printed = []
+    for before in ([], ["detect", cli_corpus / "speech_a.wav", "--out", "d.json"]):
+        if before:
+            assert main([str(a) for a in before]) == 0
+            capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        printed.append(capsys.readouterr().out)
+    done = _fresh_process(argv, tmp_path)
+    assert done.returncode == 0
+    assert printed == [done.stdout, done.stdout]

@@ -1,0 +1,101 @@
+"""Random flag values on the commands that take numbers: every run exits 0 or 2, and a run that
+exits 2 writes nothing: no new file or directory, and no changed file."""
+
+import contextlib
+import dataclasses
+import io
+import os
+import shutil
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from vadkit import AudioBuffer, CliConfig, write_wav
+from vadkit.cli import main
+from vadkit.config import value_type
+
+# Extreme and degenerate values, each spelled as a user would type it.
+FLOAT_VALUES = ["0", "1", "-1", "0.5", "4", "1e-9", "1e12", "1e308", "-1e308", "nan", "inf", "-inf", "3e9"]
+# int flags also get float spellings, which argparse refuses with exit 2.
+INT_VALUES = ["0", "1", "-1", "2", "4", "3000000000", "1000000000000", "1e12", "nan", "3e9"]
+
+CONFIG_FLAGS = {
+    f.metadata["flag"]: INT_VALUES if value_type(f) is int else FLOAT_VALUES
+    for f in dataclasses.fields(CliConfig)
+    if f.metadata["flag"]
+}
+MIX_FLAGS = {"--normalize-peak": FLOAT_VALUES, **CONFIG_FLAGS}
+# Each command's fixed arguments (a last flag then takes a value), and the flags drawn for it.
+COMMANDS = {
+    "detect": (["detect", "in.wav"], CONFIG_FLAGS),
+    "spectrogram-json": (["spectrogram", "in.wav"], CONFIG_FLAGS),
+    "spectrogram-csv": (["spectrogram", "in.wav", "--format", "csv"], CONFIG_FLAGS),
+    "filter-dump": (["filter-dump"], CONFIG_FLAGS),
+    "mix-snr": (["mix", "in.wav", "bed.wav", "--out", "m.wav", "--snr"], MIX_FLAGS),
+    "mix-gain": (["mix", "in.wav", "bed.wav", "--out", "m.wav", "--gain"], MIX_FLAGS),
+    "gen-corpus": (["gen-corpus", "--out-dir", "c"], {"--duration": FLOAT_VALUES, "--seed": INT_VALUES} | CONFIG_FLAGS),
+}
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command with up to three of its flags, each with one of its values."""
+    argv, flags = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
+    argv = argv.copy()
+    if argv[-1].startswith("--"):
+        argv[-1] += "=" + draw(st.sampled_from(FLOAT_VALUES))
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        argv.append(f"{flag}={draw(st.sampled_from(flags[flag]))}")  # "=" keeps -1 from reading as a flag
+    return argv
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A 0.25 s speech-like clip and a longer noise bed at 16 kHz."""
+    root = tmp_path_factory.mktemp("fuzz-inputs")
+    rng = np.random.default_rng(3)
+    t = np.arange(4000) / 16000
+    speech = 0.5 * np.sin(2 * np.pi * 440 * t) * (t > 0.1) + 0.01 * rng.standard_normal(4000)
+    write_wav(AudioBuffer(speech, 16000), root / "in.wav")
+    write_wav(AudioBuffer(0.1 * rng.standard_normal(8000), 16000), root / "bed.wav")
+    return root
+
+
+def _snapshot(root) -> dict:
+    """Every directory and file under root by relative path, with each file's bytes."""
+    found = {}
+    for d, dirs, names in os.walk(root):
+        found.update((os.path.relpath(os.path.join(d, name), root), None) for name in dirs)
+        for name in names:
+            with open(os.path.join(d, name), "rb") as fh:
+                found[os.path.relpath(fh.name, root)] = fh.read()
+    return found
+
+
+def _run_in(directory, argv) -> int:
+    """main(argv) run in directory; argparse's refusals count as their exit code."""
+    here = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    except SystemExit as exc:
+        return exc.code
+    finally:
+        os.chdir(here)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=_command_lines())
+def test_any_flag_values_exit_0_or_2_and_exit_2_writes_nothing(inputs, argv):
+    with tempfile.TemporaryDirectory(dir=inputs.parent) as work:
+        for name in ("in.wav", "bed.wav"):
+            shutil.copy(inputs / name, work)
+        before = _snapshot(work)
+        code = _run_in(work, argv)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2), argv
+        if code == 2:
+            assert _snapshot(work) == before, argv

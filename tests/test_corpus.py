@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vadkit import generate_corpus, load_manifest, read_wav
-from vadkit.errors import InvalidSpec
+from vadkit.errors import InvalidRate, InvalidSpec
 
 
 def _tree_bytes(root):
@@ -124,8 +124,16 @@ def test_too_short_duration_rejected(tmp_path):
         generate_corpus(0, str(tmp_path / "x"), clip_duration_s=1.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_duration_rejected(tmp_path, bad):
     with pytest.raises(InvalidSpec, match="clip_duration_s"):
         generate_corpus(0, str(tmp_path / "x"), clip_duration_s=bad)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("rate, error", [(0, InvalidRate), (-16000, InvalidRate), (2, InvalidSpec)])
+def test_a_rate_the_corpus_cannot_use_is_refused_before_its_directory_is_made(tmp_path, rate, error):
+    """A rate of 2 Hz leaves the gates too short for their edge ramps."""
+    with pytest.raises(error):
+        generate_corpus(0, str(tmp_path / "x"), sample_rate_hz=rate)
     assert not (tmp_path / "x").exists()
