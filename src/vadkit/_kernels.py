@@ -176,9 +176,9 @@ class PassBuffers:
     """The fixed arrays of the block path, made once by a caller and reused for every clip.
 
     rows is the pass buffer of `sos_passes` and products its sub-block
-    products. squares holds the squared samples of `vad.feed_squares`: a
-    pass plus the carry and padding of windows up to PASS / 2 samples, and
-    it grows, keeping that size, when a longer window needs more.
+    products; passes hold at most PASS samples. squares holds the squared
+    samples of `vad.feed_squares`: 2 * PASS samples, a pass plus the carry
+    and padding of windows up to PASS / 2 samples. No method changes them.
 
     The three start as views of one 2.2 MB allocation. A sweep or a
     detect makes its buffers per command; as three arrays, their release at
@@ -195,14 +195,6 @@ class PassBuffers:
         self.rows = block[:PASS].reshape(_CASCADE_ROWS, ROW)
         self.products = block[PASS : PASS + products].reshape(-1, SUB + _STATES)
         self.squares = block[PASS + products :]
-
-    def squares_for(self, size: int, keep: int) -> np.ndarray:
-        """squares, grown to at least size samples with its first keep samples kept."""
-        if self.squares.shape[0] < size:
-            grown = np.empty(size)
-            grown[:keep] = self.squares[:keep]
-            self.squares = grown
-        return self.squares
 
 
 def sos_passes(plan, x, buffers: PassBuffers):

@@ -105,18 +105,16 @@ def _json_text(value, newline: str, put) -> None:
     json lays out an indent in its pure-Python encoder, whose generators
     take most of its time. Here dicts, lists and tuples are laid out the
     same way, two spaces deeper per level, around leaves from _LEAF_TEXT.
-    A float64 or integer ndarray is laid out as its `.tolist()` would be,
-    with its numbers from number_texts. Any other value, a subclass
-    included, goes to json, whose lines are then moved to this depth (its
-    strings hold no raw newline); json also raises its TypeError for what
-    it cannot write.
+    A float64 or integer ndarray of one or more dimensions is laid out as
+    its `.tolist()` would be, with its numbers from number_texts. Any other
+    value, a subclass or a 0-d array included, goes to json, whose lines are
+    then moved to this depth (its strings hold no raw newline); json also
+    raises its TypeError for what it cannot write.
     """
     is_dict = type(value) is dict
-    is_array = _is_number_array(value)
-    if is_array and value.ndim < 2:
-        if value.ndim == 0:
-            _json_text(value.tolist(), newline, put)
-        elif value.size:
+    is_array = _is_number_array(value) and value.ndim > 0
+    if is_array and value.ndim == 1:
+        if value.size:
             inner = newline + "  "
             put("[" + inner + _json_numbers(value, ("," + inner).encode()).decode() + newline + "]")
         else:
@@ -151,54 +149,41 @@ def _json_text(value, newline: str, put) -> None:
 
 
 def write_json_rows(payload: dict, path) -> None:
-    """`json.dumps(payload)` text plus a newline, the items of payload's last value encoded one at a time.
+    """`json.dumps(payload)` text plus a newline, payload's last value written one row at a time.
 
-    The last value is a list, or an array iterated by rows. The C encoder
-    holds the text of every number in a payload until it joins them; item
-    by item, it holds one item's. A 1-D float64 or integer array item is
-    written as json writes its `.tolist()`, from number_texts.
+    The last value is a 2-D float64 or integer array, written as json
+    writes its `.tolist()`, with its numbers from number_texts; any other
+    value raises TypeError. The C encoder holds the text of every number in
+    a payload until it joins them; row by row, this holds one row's.
     """
-    *head, (key, items) = payload.items()
+    *head, (key, rows) = payload.items()
+    rows = _numbers(rows, 2)
     with open_output(path) as fh:
         fh.write(json.dumps({**dict(head), key: []})[:-2].encode())  # all but the closing "]}"
-        for i, item in enumerate(items):
-            if _is_number_array(item) and item.ndim == 1:
-                text = b"[" + _json_numbers(item, b", ") + b"]"
-            else:
-                text = json.dumps(item).encode()
-            fh.write((b", " if i else b"") + text)
+        for i, row in enumerate(rows):
+            fh.write((b", [" if i else b"[") + _json_numbers(row, b", ") + b"]")
         fh.write(b"]}\n")
 
 
 def write_table(path, columns: dict, line_end: str) -> None:
     """A header of column names, then one line per row of comma-separated cells.
 
-    columns maps each name to an equal-length 1-D numpy array. A cell's text
-    is the repr of the Python int or float that `.tolist()` makes of it,
-    which is also what `csv` writes for it: number_texts gives it for
-    integer and float columns (float16 and float32 widened to float64, as
-    `.tolist()` widens them), and `.tolist()` for any other dtype. Each
-    block of rows is written on its own.
+    columns maps each name to an equal-length 1-D float64 or integer array;
+    any other value raises TypeError. A cell's text is the repr of the
+    Python int or float that `.tolist()` makes of it, which is also what
+    `csv` writes for it, from number_texts. Each block of rows is written
+    on its own.
     """
-    arrays = list(columns.values())
-    cell_texts = [
-        number_texts if a.dtype.kind in "iu" or (a.dtype.kind == "f" and a.dtype.itemsize <= 8) else _reprs
-        for a in arrays
-    ]
+    arrays = [_numbers(a, 1) for a in columns.values()]
     with open_output(path) as fh:
         fh.write((",".join(columns) + line_end).encode())
         for start in range(0, len(arrays[0]), _BLOCK_ROWS):
-            cells = [texts(a[start : start + _BLOCK_ROWS]) for texts, a in zip(cell_texts, arrays)]
+            cells = [number_texts(a[start : start + _BLOCK_ROWS]) for a in arrays]
             fh.write((line_end.join(map(",".join, zip(*cells))) + line_end).encode())
 
 
-def _reprs(column) -> list[str]:
-    """repr of each element of column's `.tolist()`."""
-    return list(map(repr, column.tolist()))
-
-
 def number_texts(column) -> list[str]:
-    """`repr(x)` for each element x of a 1-D float or integer array, floats widened to float64.
+    """`repr(x)` for each element x of a 1-D float64 or integer array; TypeError for any other value.
 
     orjson writes the text of the whole array in one C call. Its floats have
     the shortest digits that round-trip, as repr's do; it lays them out
@@ -206,7 +191,7 @@ def number_texts(column) -> list[str]:
     1e16 for 1e+16) and writes null for NaN and the infinities, and those
     few elements get repr.
     """
-    column = _number_column(column)
+    column = _numbers(column, 1)
     texts = _orjson_body(column).decode().split(",") if column.size else []
     irregular = _irregular(column)
     for i, value in zip(irregular.tolist(), column[irregular].tolist()):
@@ -215,8 +200,8 @@ def number_texts(column) -> list[str]:
 
 
 def _json_numbers(column, separator: bytes) -> bytes:
-    """json's text of each number of a 1-D float or integer array, joined by separator."""
-    column = _number_column(column)
+    """json's text of each number of a 1-D float64 or integer array, joined by separator."""
+    column = _numbers(column, 1)
     if _irregular(column).size:
         return separator.join(_FLOAT_NAMES.get(text, text).encode() for text in number_texts(column))
     return _orjson_body(column).replace(b",", separator)
@@ -227,9 +212,12 @@ def _is_number_array(value) -> bool:
     return type(value) is np.ndarray and (value.dtype.kind in "iu" or value.dtype == np.float64)
 
 
-def _number_column(column) -> np.ndarray:
-    """column as orjson can read it: C-contiguous, floats as float64."""
-    return np.ascontiguousarray(column, dtype=np.float64 if column.dtype.kind == "f" else None)
+def _numbers(value, ndim: int) -> np.ndarray:
+    """value as orjson reads it, C-contiguous; TypeError unless it is a float64 or integer ndarray of ndim axes."""
+    if not (_is_number_array(value) and value.ndim == ndim):
+        got = f"a {value.ndim}-d {value.dtype} array" if isinstance(value, np.ndarray) else type(value).__name__
+        raise TypeError(f"expected a {ndim}-d float64 or integer array, got {got}")
+    return np.ascontiguousarray(value)
 
 
 def _orjson_body(column) -> bytes:

@@ -99,9 +99,10 @@ def read_wav(path: str | Path, sample_rate_hz: int | None = None) -> tuple[Audio
     Reads PCM with 16, 24 or 32 bits and IEEE float with 32 bits, in
     WAVE_FORMAT_PCM / WAVE_FORMAT_IEEE_FLOAT files and in
     WAVE_FORMAT_EXTENSIBLE files whose subformat is PCM or IEEE float.
-    Channels are averaged (bit-identical to numpy's mean over each frame),
-    and PCM is scaled to [-1, 1) by its full-scale value (2**15 for 16 bits,
-    2**23 for 24, 2**31 for 32). Chunks other than fmt/data (LIST, fact,
+    Two or more channels are averaged (bit-identical to numpy's mean over
+    each frame); mono samples are taken as they are, -0.0 kept. PCM is
+    scaled to [-1, 1) by its full-scale value (2**15 for 16 bits, 2**23
+    for 24, 2**31 for 32). Chunks other than fmt/data (LIST, fact,
     ...) are skipped. A data chunk whose size a streaming recorder left as
     0xFFFFFFFF, or as 0 in a file whose RIFF size is 0 or 0xFFFFFFFF, runs
     to the end of the file, floored to whole frames. `_decode_into` decodes

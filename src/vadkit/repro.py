@@ -52,9 +52,8 @@ def run(out_dir: str, seed: int = 0, snr_db: float = 10.0, config: CliConfig = B
     vad_config = config.vad_config()
     vad_config.window_samples(config.sample_rate_hz)
     vad_config.hop_samples(config.sample_rate_hz)
-    check_fft(config.fft_size, config.spectrogram_hop)
     cascade = design_butterworth_bandpass(config.filter_spec())
-    corpus_clip_samples(seed, config.sample_rate_hz)
+    check_fft(config.fft_size, config.spectrogram_hop, corpus_clip_samples(seed, config.sample_rate_hz))
     make_output_dir(out_dir)
     written: list[str] = []
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import open_output, write_table
-from .audio_io import SIZE_LIMIT, AudioBuffer, frame_samples
+from .audio_io import _UPSAMPLING_LIMIT, SIZE_LIMIT, AudioBuffer, frame_samples
 from .errors import EmptySignal, InvalidFft
 
 DB_FLOOR = -120.0
@@ -49,18 +49,29 @@ def hann_window(size: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(size) / size)
 
 
-def check_fft(fft_size: int, hop_samples: int) -> None:
-    """InvalidFft unless fft_size is a power of two up to SIZE_LIMIT and hop_samples is positive."""
+def check_fft(fft_size: int, hop_samples: int, n: int) -> None:
+    """InvalidFft unless fft_size is a power of two up to SIZE_LIMIT and hop_samples is positive.
+
+    The frames of n samples, ceil(n / hop_samples) rows of fft_size, may
+    hold SIZE_LIMIT samples, or _UPSAMPLING_LIMIT times n where that is
+    more: the bound `resample` puts on its output.
+    """
     if fft_size <= 0 or fft_size & (fft_size - 1) != 0:
         raise InvalidFft(f"fft size must be a power of two, got {fft_size}")
     if fft_size > SIZE_LIMIT:
         raise InvalidFft(f"fft size {fft_size} is over the limit of {SIZE_LIMIT} samples")
     if hop_samples <= 0:
         raise InvalidFft(f"spectrogram hop must be positive, got {hop_samples}")
+    cells = -(-n // hop_samples) * fft_size
+    if cells > max(SIZE_LIMIT, _UPSAMPLING_LIMIT * n):
+        raise InvalidFft(
+            f"the frames of {n} samples at fft size {fft_size} and hop {hop_samples} hold {cells} samples, "
+            f"over the limit of {SIZE_LIMIT} and over {_UPSAMPLING_LIMIT} times the input"
+        )
 
 
 def spectrogram(buffer: AudioBuffer, fft_size: int = 1024, hop_samples: int = 512) -> SpectrogramMatrix:
-    check_fft(fft_size, hop_samples)
+    check_fft(fft_size, hop_samples, len(buffer))
     if len(buffer) == 0:
         raise EmptySignal("cannot take a spectrogram of an empty signal")
     frames = frame_samples(buffer.samples, fft_size, hop_samples) * hann_window(fft_size)

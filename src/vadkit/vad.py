@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import PassBuffers
+from ._kernels import PASS, PassBuffers
 from .artifacts import field_dict, write_table
 from .audio_io import AudioBuffer, frame_samples, sample_count
 from .errors import EmptySignal, InvalidSpec, NoFrames
@@ -165,21 +165,24 @@ class WindowEnergies:
 
 
 def feed_squares(passes, windows, buffers: PassBuffers) -> None:
-    """Square each pass of a bandpassed clip once, into buffers.squares, and let every window take its frames.
+    """Square each pass of a bandpassed clip once and let every window take its frames.
 
-    passes are consecutive pieces of the clip, of any sizes; windows are
-    `WindowEnergies` of that clip. Between passes buffers.squares keeps the
-    squares from the earliest frame some window has still to take, which is
-    less than the longest window; after the last pass it holds the zeros of
-    the padded last frames.
+    passes are consecutive pieces of the clip of at most PASS samples, as
+    `sos_passes` yields them; windows are `WindowEnergies` of that clip.
+    The squares go into buffers.squares, or, when a window is over PASS / 2
+    samples, into an array of PASS + 2 * longest window samples. Between
+    passes it keeps the squares from the earliest frame some window has
+    still to take, less than the longest window; after the last pass it
+    holds the zeros of the padded last frames, fewer than that too.
     """
     n = windows[0].n
+    longest = max(window.win for window in windows)
+    squares = buffers.squares if 2 * longest <= PASS else np.empty(PASS + 2 * longest)
     tail = max(window.reach for window in windows) - n  # zeros after the clip that padded last frames read
-    held = top = 0  # buffers.squares[:held] holds the squares of samples top - held .. top
+    held = top = 0  # squares[:held] holds the squares of samples top - held .. top
     for block in passes:
         m = block.shape[0]
         last = top + m == n
-        squares = buffers.squares_for(held + m + (tail if last else 0), held)
         np.square(block, out=squares[held : held + m])
         start, top = top - held, top + m
         if last:
@@ -194,10 +197,10 @@ def feed_squares(passes, windows, buffers: PassBuffers) -> None:
 def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
     """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference.
 
-    The one-pass case of `feed_squares`: the squares go into one padded array.
+    `feed_squares` of the buffer in slices of PASS samples.
     """
     window = WindowEnergies(config, buffer.sample_rate_hz, len(buffer))
-    feed_squares([buffer.samples], [window], PassBuffers())
+    feed_squares((buffer.samples[p0 : p0 + PASS] for p0 in range(0, len(buffer), PASS)), [window], PassBuffers())
     return window.energies()
 
 

@@ -105,11 +105,32 @@ def test_number_texts_on_many_bit_patterns_and_boundaries():
         assert number_texts(column) == _reprs(column)
 
 
-@settings(max_examples=100, deadline=None)
-@given(values=st.lists(st.floats(width=32, allow_nan=True, allow_infinity=True), max_size=40))
-def test_number_texts_widen_float32_as_tolist_does(values):
-    column = np.array(values, dtype=np.float32)
-    assert number_texts(column) == _reprs(column)
+_NOT_NUMBER_ARRAYS = [
+    np.ones(3, dtype=np.float32),
+    np.ones(3, dtype=np.float16),
+    np.ones(3, dtype=np.bool_),
+    np.array([1.0, None, "x"], dtype=object),
+    [1.0, 2.0],
+    np.array(1.0),
+]
+_NOT_NUMBER_IDS = ["float32", "float16", "bool", "object", "list", "0-d"]
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBER_ARRAYS, ids=_NOT_NUMBER_IDS)
+def test_writers_refuse_what_is_not_a_float64_or_integer_array(tmp_path, value):
+    """number_texts and write_table take 1-D, and write_json_rows 2-D, float64 or integer arrays, and
+    write_json leaves every other array to json, which refuses it."""
+    rows = np.stack([value] * 2) if isinstance(value, np.ndarray) and value.ndim else [value, value]
+    with pytest.raises(TypeError):
+        number_texts(value)
+    with pytest.raises(TypeError):
+        write_table(tmp_path / "t.csv", {"a": np.arange(3), "b": value}, "\n")
+    with pytest.raises(TypeError):
+        write_json_rows({"fft_size": 8, "rows": rows}, tmp_path / "rows.json")
+    if not isinstance(value, list):  # a list is JSON
+        with pytest.raises(TypeError):
+            write_json({"a": value}, tmp_path / "out.json")
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "rows.json").exists()
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64])
@@ -127,7 +148,7 @@ def _table_by_format(columns: dict, line_end: str) -> bytes:
     return (",".join(columns) + line_end + body).encode()
 
 
-_COLUMN_DTYPES = [np.float64, np.float32, np.float16, np.int64, np.int8, np.uint16, np.bool_]
+_COLUMN_DTYPES = [np.float64, np.int64, np.int8, np.uint16]
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,15 +168,14 @@ def test_write_table_writes_the_bytes_of_the_format_it_replaces(tmp_path_factory
             raw[rng.random(2 * n) < 0.01] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf])
         else:
             raw = rng.integers(-(2**62), 2**62, 2 * n)
-        with np.errstate(over="ignore"):  # float16 and float32 take inf for what they cannot hold
-            columns[f"c{i}"] = raw.astype(dtype)[::2]  # every column a strided view
+        columns[f"c{i}"] = raw.astype(dtype)[::2]  # every column a strided view
     path = tmp_path_factory.mktemp("table") / "t.csv"
     write_table(path, columns, line_end)
     assert path.read_bytes() == _table_by_format(columns, line_end)
 
 
 def test_write_table_of_record_fields(tmp_path):
-    frames = np.zeros(5000, dtype=[("start_s", "f8"), ("energy_db", "f8"), ("count", "i4"), ("flag", "?")])
+    frames = np.zeros(5000, dtype=[("start_s", "f8"), ("energy_db", "f8"), ("count", "i4"), ("flag", "i1")])
     rng = np.random.default_rng(4)
     frames["start_s"] = np.arange(5000) * 0.155
     frames["energy_db"] = 10 * np.log10(rng.random(5000) * 1e-7)
@@ -173,7 +193,6 @@ def test_write_json_rows_writes_the_bytes_json_dumps_does(tmp_path):
     head = {"fft_size": 1024, "note": "ünï", "scale": 0.5}
     payloads = [
         ({**head, "rows": matrix}, {**head, "rows": matrix.tolist()}),
-        ({"rows": [*matrix[:3], [1, None], np.arange(4)]}, {"rows": [*matrix[:3].tolist(), [1, None], [0, 1, 2, 3]]}),
         ({"rows": np.empty((0, 3))}, {"rows": []}),
         ({"rows": np.empty((2, 0))}, {"rows": [[], []]}),
     ]
@@ -184,7 +203,7 @@ def test_write_json_rows_writes_the_bytes_json_dumps_does(tmp_path):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    shape=st.lists(st.integers(0, 4), max_size=3),
+    shape=st.lists(st.integers(0, 4), min_size=1, max_size=3),
     dtype=st.sampled_from([np.float64, np.int64, np.uint8]),
     values=st.lists(_FLOAT64, min_size=64, max_size=64),
 )

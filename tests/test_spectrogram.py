@@ -1,13 +1,19 @@
 """STFT magnitudes, bin localization, floor behavior, and export formats."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vadkit import AudioBuffer, spectrogram
+import vadkit
+from vadkit import AudioBuffer, spectrogram, write_wav
 from vadkit.errors import EmptySignal, InvalidFft
-from vadkit.spectrogram import DB_FLOOR, hann_window, to_json_dict, write_long_csv, write_pgm
+from vadkit.spectrogram import DB_FLOOR, check_fft, hann_window, to_json_dict, write_long_csv, write_pgm
 
 
 def _tone(freq_hz, fs=16000, seconds=1.0):
@@ -118,3 +124,44 @@ def test_pgm_output(tmp_path):
     maxval, pixels = rest.split(b"\n", 1)
     assert maxval == b"255"
     assert len(pixels) == w * h
+
+
+def test_a_frame_matrix_over_the_size_limit_is_refused_before_it_is_made():
+    """The frames of n samples may hold 2**24 samples, or 64 times n when that is more."""
+    with pytest.raises(InvalidFft, match="over 64 times the input"):
+        check_fft(1024, 1, 960_000)  # 60 s at 16 kHz, hop 1: 7.9 GB of frames
+    with pytest.raises(InvalidFft, match="over 64 times the input"):
+        spectrogram(AudioBuffer(np.zeros(64_000), 16000), fft_size=2**24, hop_samples=512)
+    check_fft(1024, 512, 10**9)  # the defaults, at any length, frame about 2 n samples
+    check_fft(1024, 1, 4000)  # 0.25 s at 16 kHz, hop 1: 4,096,000 samples, under 2**24
+    check_fft(2**24, 1, 1)
+
+
+def _cli_in_a_bounded_child(args, cwd):
+    """vadkit's CLI on args in a child process held to a 3 GB address space."""
+    env = {**os.environ, "PYTHONPATH": str(Path(vadkit.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "vadkit.cli", *args],
+        cwd=cwd, env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_spectrogram_at_hop_1_on_a_minute_exits_2_and_writes_nothing(tmp_path):
+    write_wav(AudioBuffer(np.zeros(60 * 16000), 16000), tmp_path / "long.wav")
+    done = _cli_in_a_bounded_child(
+        ["spectrogram", "long.wav", "--spectrogram-hop", "1", "--out", "long.json"], tmp_path
+    )
+    assert done.returncode == 2, done.stderr
+    assert sorted(os.listdir(tmp_path)) == ["long.wav"]
+
+
+def test_repro_figures_with_a_huge_frame_matrix_exits_2_and_writes_nothing(tmp_path):
+    done = _cli_in_a_bounded_child(
+        ["repro-figures", "--out-dir", "figs", "--fft-size", "16777216", "--spectrogram-hop", "1"], tmp_path
+    )
+    assert done.returncode == 2, done.stderr
+    assert not (tmp_path / "figs").exists()

@@ -98,6 +98,11 @@ COMMANDS = [
                                  "--threshold", "12"]),
     ("detect-96k-at-1k", ["detect", _GAP96, "--out", "detect_gap.json", "--frames-csv", "detect_gap.csv",
                           "--sample-rate", "1000", "--low", "100", "--high", "400", "--threshold", "12"]),
+    # A geometry other than the default, under the frame-matrix limit.
+    ("spectrogram-json-fft256-hop64", ["spectrogram", "corpus/speech_a.wav", "--format", "json",
+                                       "--fft-size", "256", "--spectrogram-hop", "64", "--out", "spec256.json"]),
+    ("spectrogram-pgm-fft256-hop64", ["spectrogram", "corpus/speech_a.wav", "--format", "pgm",
+                                      "--fft-size", "256", "--spectrogram-hop", "64", "--out", "spec256.pgm"]),
 ]
 
 
