@@ -14,7 +14,6 @@ from .audio_io import (
     peak_normalize,
     read_wav,
     resample,
-    truncate_to,
     write_wav,
 )
 from .config import CliConfig, load_config
@@ -93,6 +92,5 @@ __all__ = [
     "score",
     "spectrogram",
     "sweep",
-    "truncate_to",
     "write_wav",
 ]

@@ -7,10 +7,10 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
+import re
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -79,73 +79,74 @@ def make_output_dir(path) -> None:
 
 
 def write_json(payload, path) -> None:
-    """`json.dumps(payload, indent=2)` text plus a newline, laid out by `_json_text`."""
-    chunks = []
-    _json_text(payload, "\n", chunks.append)
-    chunks.append("\n")
-    with open_output(path) as fh:
-        fh.write("".join(chunks).encode())
+    """`json.dumps(payload, indent=2)` text plus a newline; json's TypeError for what json refuses.
 
-
-# How json writes a leaf of exactly one of these types, except that float.__repr__ writes NaN and
-# the infinities as nan, inf and -inf, which _FLOAT_NAMES renames. Subclasses are left to json.
-_LEAF_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: float.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(value, newline: str, put) -> None:
-    """Put the text of `json.dumps(value, indent=2)` in pieces; every line after its first starts with newline.
-
-    json lays out an indent in its pure-Python encoder, whose generators
-    take most of its time. Here dicts, lists and tuples are laid out the
-    same way, two spaces deeper per level, around leaves from _LEAF_TEXT.
-    A float64 or integer ndarray of one or more dimensions is laid out as
-    its `.tolist()` would be, with its numbers from number_texts. Any other
-    value, a subclass or a 0-d array included, goes to json, whose lines are
-    then moved to this depth (its strings hold no raw newline); json also
-    raises its TypeError for what it cannot write.
+    A float64 or integer ndarray of one or more dimensions is written as its `.tolist()` would be.
+    orjson writes the payload with each array as null, and each array in a call of its own. json
+    writes a payload that orjson refuses or whose text holds another null (None, NaN, an infinity).
+    orjson also writes two types that json refuses, `uuid.UUID` and an Enum of neither int nor str.
     """
-    is_dict = type(value) is dict
-    is_array = _is_number_array(value) and value.ndim > 0
-    if is_array and value.ndim == 1:
-        if value.size:
-            inner = newline + "  "
-            put("[" + inner + _json_numbers(value, ("," + inner).encode()).decode() + newline + "]")
-        else:
-            put("[]")
-        return
-    if not (is_dict or is_array) and type(value) not in (list, tuple):
-        write = _LEAF_TEXT.get(type(value))
-        if write is None:
-            put(json.dumps(value, indent=2).replace("\n", newline))
-        else:
-            text = write(value)
-            put(_FLOAT_NAMES.get(text, text))
-        return
-    if not len(value):
-        put("{}" if is_dict else "[]")
-        return
-    inner = newline + "  "
-    separator = ("{" if is_dict else "[") + inner
-    leaf, names = _LEAF_TEXT.get, _FLOAT_NAMES
-    for key, item in value.items() if is_dict else zip(itertools.repeat(None), value):
-        if is_dict:  # a key that is not a str is written as json writes it in {key: 0}
-            separator += (encode_basestring_ascii(key) if type(key) is str else json.dumps({key: 0})[1:-4]) + ": "
-        write = leaf(type(item))
-        if write is None:
-            put(separator)
-            _json_text(item, inner, put)
-        else:
-            text = write(item)
-            put(separator + names.get(text, text))
-        separator = "," + inner
-    put(newline + ("}" if is_dict else "]"))
+    arrays, chunks = [], [None]  # a None chunk leaves the payload to json
+    with contextlib.suppress(orjson.JSONEncodeError):
+        text = orjson.dumps(payload, default=lambda value: arrays.append(_json_array(value)), option=_INDENTED)
+        if text.count(b"null") == len(arrays):
+            chunks = _json_spelling(text).split(b"null")
+            for i, array in enumerate(arrays):  # after chunk 2i, whose last line holds its indent and maybe a key
+                line = chunks[2 * i][chunks[2 * i].rfind(b"\n") + 1 :]
+                chunks.insert(2 * i + 1, _array_text(array, (len(line) - len(line.lstrip())) // 2))
+    if None in chunks:
+        chunks = [(json.dumps(payload, indent=2, default=lambda value: _json_array(value).tolist()) + "\n").encode()]
+    with open_output(path) as fh:
+        fh.writelines(chunks)
+
+
+# Subclasses, dataclasses and datetimes go to default, so that json lays them out or refuses them.
+_INDENTED = (orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE | orjson.OPT_PASSTHROUGH_SUBCLASS
+             | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME)
+
+
+def _array_text(array, depth: int) -> bytes | None:
+    """json's text of a number array depth lists deep, from orjson inside depth lists; None if it holds NaN or inf."""
+    text = orjson.dumps(
+        functools.reduce(lambda inner, _: [inner], range(depth), array),
+        option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY,
+    )[depth * (depth + 3) : -depth * (depth + 1) or None]  # list i of them writes 2i + 4 bytes before, 2i + 2 after
+    if not _irregular(array.reshape(-1)).size:
+        return text
+    return None if b"null" in text else _json_spelling(text)
+
+
+def _json_array(value) -> np.ndarray:
+    """value, C-contiguous, if it is a float64 or integer ndarray of one or more dimensions; else json's TypeError."""
+    if not (_is_number_array(value) and value.ndim):
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return np.ascontiguousarray(value)
+
+
+# Where orjson may spell a float unlike repr (1e16, 1e-6, 0.0000999); one regex for both scans far slower.
+_ODD_FLOATS = (re.compile(rb"e(?:[0-9]|-[0-9](?![0-9]))"), re.compile(rb"0\.0000"))
+# A line of orjson's indented text that ends in a number: indent, maybe a key, the number, maybe a comma.
+# A string cannot end one, as its closing quote follows it on its line.
+_NUMBER_LINE = re.compile(rb' *(?:".*": )?(-?[0-9][0-9.e+-]*),?')
+
+
+def _json_spelling(text: bytes) -> bytes:
+    """orjson's indented text as json spells it.
+
+    Each float of _ODD_FLOATS on a _NUMBER_LINE gets repr's text, and each run of bytes outside
+    printable ASCII, all of which lie inside strings, gets json's escapes.
+    """
+    spots = [match.start() for pattern in _ODD_FLOATS for match in pattern.finditer(text)]
+    pieces, done = [], 0
+    for start, end in sorted({(text.rfind(b"\n", 0, spot) + 1, text.find(b"\n", spot)) for spot in spots}):
+        match = _NUMBER_LINE.fullmatch(text, start, end)
+        if match and (b"." in match[1] or b"e" in match[1]):  # a float, not an integer
+            pieces += [text[done : match.start(1)], repr(float(match[1])).encode()]
+            done = match.end(1)
+    text = b"".join(pieces) + text[done:]
+    if text.isascii() and b"\x7f" not in text:
+        return text
+    return re.sub(rb"[\x7f-\xff]+", lambda run: encode_basestring_ascii(run[0].decode())[1:-1].encode(), text)
 
 
 def write_json_rows(payload: dict, path) -> None:
@@ -199,6 +200,10 @@ def number_texts(column) -> list[str]:
     return texts
 
 
+# How json writes the floats that float.__repr__ writes as nan, inf and -inf.
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_numbers(column, separator: bytes) -> bytes:
     """json's text of each number of a 1-D float64 or integer array, joined by separator."""
     column = _numbers(column, 1)
@@ -208,8 +213,9 @@ def _json_numbers(column, separator: bytes) -> bytes:
 
 
 def _is_number_array(value) -> bool:
-    """Whether value is an ndarray (not a subclass) of float64 or an integer dtype."""
-    return type(value) is np.ndarray and (value.dtype.kind in "iu" or value.dtype == np.float64)
+    """Whether value is an ndarray (not a subclass) of float64 or an integer dtype, in native byte order."""
+    dtype = value.dtype if type(value) is np.ndarray else None
+    return dtype is not None and dtype.isnative and (dtype.kind in "iu" or dtype == np.float64)
 
 
 def _numbers(value, ndim: int) -> np.ndarray:

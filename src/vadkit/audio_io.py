@@ -437,20 +437,6 @@ def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     return sliding_window_view(xpad, win)[::hop]
 
 
-def truncate_to(buffer: AudioBuffer, duration_s: float) -> AudioBuffer:
-    """Cut or zero-pad to exactly floor(duration * rate) samples."""
-    if duration_s <= 0:
-        raise InvalidSpec(f"duration must be positive, got {duration_s}")
-    # Guard float rounding so exact durations hit their integer sample count.
-    n = int(math.floor(duration_s * buffer.sample_rate_hz + 1e-9))
-    x = buffer.samples
-    if len(x) >= n:
-        out = x[:n]
-    else:
-        out = np.concatenate([x, np.zeros(n - len(x))])
-    return AudioBuffer(out, buffer.sample_rate_hz)
-
-
 def peak_normalize(buffer: AudioBuffer, target_peak: float = 1.0) -> AudioBuffer:
     """Scale so max |sample| equals target_peak; all-zero input is returned unchanged."""
     if len(buffer) == 0:

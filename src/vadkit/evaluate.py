@@ -179,7 +179,7 @@ def _clip_counts(clip: LabeledClip, cascade: BiquadCascade, configs, thresholds_
             windows.append(WindowEnergies(config, buffer.sample_rate_hz, len(buffer)))
             starts = np.arange(windows[-1].frames) * config.hop_s
             truths.append(truth_frame_flags(starts, config.window_length_s, clip))
-    feed_squares(passes, windows, buffers)
+    feed_squares(passes, windows, buffers.squares)
     thresholds = np.array(thresholds_db)[:, None]
     counts = []
     for config, window, truth in zip(configs, windows, truths):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import AudioBuffer, peak_normalize
-from .errors import InvalidSpec, LengthMismatch, RateMismatch, SilentComponent
+from .errors import EmptySignal, InvalidSpec, LengthMismatch, RateMismatch, SilentComponent
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,9 @@ def ambient_gain_for_snr(speech: np.ndarray, ambient: np.ndarray, snr_db: float)
 
     Powers are taken over the full clips, silent stretches included.
     """
+    for name, clip in (("speech", speech), ("ambient", ambient)):
+        if clip.size == 0:
+            raise EmptySignal(f"{name} clip is empty, SNR is undefined")
     p_speech = float(np.mean(np.square(speech)))
     p_ambient = float(np.mean(np.square(ambient)))
     if p_speech == 0.0:

@@ -164,20 +164,21 @@ class WindowEnergies:
         return energies, estimate_noise_floor_db(energies, self.config)
 
 
-def feed_squares(passes, windows, buffers: PassBuffers) -> None:
+def feed_squares(passes, windows, squares: np.ndarray) -> None:
     """Square each pass of a bandpassed clip once and let every window take its frames.
 
     passes are consecutive pieces of the clip of at most PASS samples, as
     `sos_passes` yields them; windows are `WindowEnergies` of that clip.
-    The squares go into buffers.squares, or, when a window is over PASS / 2
-    samples, into an array of PASS + 2 * longest window samples. Between
+    The squares go into squares, an array of 2 * PASS samples such as
+    `PassBuffers.squares`, or, when a window is over PASS / 2 samples, into
+    an array of PASS + 2 * longest window samples made here. Between
     passes it keeps the squares from the earliest frame some window has
     still to take, less than the longest window; after the last pass it
     holds the zeros of the padded last frames, fewer than that too.
     """
     n = windows[0].n
     longest = max(window.win for window in windows)
-    squares = buffers.squares if 2 * longest <= PASS else np.empty(PASS + 2 * longest)
+    squares = squares if 2 * longest <= PASS else np.empty(PASS + 2 * longest)
     tail = max(window.reach for window in windows) - n  # zeros after the clip that padded last frames read
     held = top = 0  # squares[:held] holds the squares of samples top - held .. top
     for block in passes:
@@ -197,10 +198,10 @@ def feed_squares(passes, windows, buffers: PassBuffers) -> None:
 def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
     """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference.
 
-    `feed_squares` of the buffer in slices of PASS samples.
+    `feed_squares` of the buffer in slices of PASS samples, into squares of its own (no `PassBuffers`).
     """
     window = WindowEnergies(config, buffer.sample_rate_hz, len(buffer))
-    feed_squares((buffer.samples[p0 : p0 + PASS] for p0 in range(0, len(buffer), PASS)), [window], PassBuffers())
+    feed_squares((buffer.samples[p0 : p0 + PASS] for p0 in range(0, len(buffer), PASS)), [window], np.empty(2 * PASS))
     return window.energies()
 
 
@@ -239,7 +240,7 @@ def detect(buffer: AudioBuffer, cascade: BiquadCascade, config: VadConfig) -> Va
     buffers = PassBuffers()
     passes = filter_passes(cascade, buffer, buffers)
     window = WindowEnergies(config, buffer.sample_rate_hz, len(buffer))
-    feed_squares(passes, [window], buffers)
+    feed_squares(passes, [window], buffers.squares)
     return _decide(*window.energies(), config)
 
 

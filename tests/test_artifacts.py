@@ -1,6 +1,8 @@
 """artifacts' writers write the bytes of json.dumps and of each number's repr: write_json those of
 json.dumps(payload, indent=2) plus a newline, and number_texts those of repr."""
 
+import dataclasses
+import datetime
 import enum
 import json
 import math
@@ -21,6 +23,13 @@ class Name(str):
     pass
 
 
+@dataclasses.dataclass
+class Record:
+    x: int = 1
+
+
+# Text json escapes and orjson writes raw, and text that reads like a float orjson spells unlike repr.
+_ODD_STRINGS = ["\x7f", "\u2028", " 1e-6,", "0.00001", '"k": 1e-6']
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -29,21 +38,28 @@ _LEAVES = st.one_of(
     st.integers(min_value=-(2**200), max_value=-(2**64)),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324, 0.1]),
+    st.sampled_from([1e-05, 9.99e-05, -1.5e-07, 1e-09, 1e16, -1.5e17]),  # orjson spells these unlike repr
     st.text(),
     st.sampled_from(['say "hi"', "back\\slash", "tab\tand\nnewline", "ünï", " \x00", "😀", "nan", "Infinity"]),
+    st.sampled_from(_ODD_STRINGS),
     st.floats(allow_nan=True).map(np.float64),
     st.sampled_from([Level.LOW, Name("sub"), True, False]),
 )
-_KEYS = st.one_of(st.text(), st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none())
-_PAYLOADS = st.recursive(
-    _LEAVES,
-    lambda children: st.one_of(
+_KEYS = st.one_of(
+    st.text(), st.sampled_from(_ODD_STRINGS), st.integers(), st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.none(),
+)
+
+
+def _containers(children):
+    return st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(_KEYS, children, max_size=5),
-    ),
-    max_leaves=40,
-)
+    )
+
+
+_PAYLOADS = st.recursive(_LEAVES, _containers, max_leaves=40)
 
 
 @settings(max_examples=300, deadline=None)
@@ -57,10 +73,32 @@ def test_write_json_writes_the_bytes_json_dumps_does(tmp_path_factory, payload):
     assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
 
+# Arrays of every kind write_json lays out: NaN and floats orjson spells unlike repr, strided, empty, integer.
+_ARRAYS = st.sampled_from([
+    np.arange(3.0), np.array([[1e-05, 2.5], [1e16, -0.0]]), np.array([math.nan, 1.0]), np.arange(12.0)[::3],
+    np.empty((2, 0)), np.array([[7]], dtype=np.uint8), np.arange(-3, 3).reshape(3, 2)[:, ::-1],
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.recursive(_LEAVES | _ARRAYS, _containers, max_leaves=20))
+@example(payload=np.array([[1e-05, 2.5], [1e16, -0.0]]))
+@example(payload={"a": None, "b": np.arange(3.0), "c": [[{"d": np.arange(2)}]]})
+@example(payload=[np.array([math.nan, 1.0]), 1e-05])
+@example(payload={'"k": 1e-6': 5, "e5": [np.arange(2.0)], "0.00001": -7})
+def test_write_json_lays_out_arrays_at_any_depth_among_any_values(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    write_json(payload, path)
+    assert path.read_bytes() == (json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n").encode()
+
+
 @pytest.mark.parametrize(
     "payload",
-    [{"a": np.int64(3)}, [object()], {(1, 2): 0}, {"k": {b"bytes": 1}}, np.float32(1.0)],
-    ids=["numpy-int", "object", "tuple-key", "bytes-key", "numpy-float32"],
+    [
+        {"a": np.int64(3)}, [object()], {(1, 2): 0}, {"k": {b"bytes": 1}}, np.float32(1.0),
+        [datetime.date(2020, 1, 1)], {"record": Record()},
+    ],
+    ids=["numpy-int", "object", "tuple-key", "bytes-key", "numpy-float32", "date", "dataclass"],
 )
 def test_write_json_refuses_what_json_refuses(tmp_path, payload):
     with pytest.raises(TypeError) as expected:
@@ -112,15 +150,16 @@ _NOT_NUMBER_ARRAYS = [
     np.array([1.0, None, "x"], dtype=object),
     [1.0, 2.0],
     np.array(1.0),
+    np.ones(3, dtype=">i8"),
 ]
-_NOT_NUMBER_IDS = ["float32", "float16", "bool", "object", "list", "0-d"]
+_NOT_NUMBER_IDS = ["float32", "float16", "bool", "object", "list", "0-d", "big-endian"]
 
 
 @pytest.mark.parametrize("value", _NOT_NUMBER_ARRAYS, ids=_NOT_NUMBER_IDS)
 def test_writers_refuse_what_is_not_a_float64_or_integer_array(tmp_path, value):
     """number_texts and write_table take 1-D, and write_json_rows 2-D, float64 or integer arrays, and
     write_json leaves every other array to json, which refuses it."""
-    rows = np.stack([value] * 2) if isinstance(value, np.ndarray) and value.ndim else [value, value]
+    rows = np.stack([value] * 2).astype(value.dtype) if isinstance(value, np.ndarray) and value.ndim else [value, value]
     with pytest.raises(TypeError):
         number_texts(value)
     with pytest.raises(TypeError):
@@ -206,13 +245,14 @@ def test_write_json_rows_writes_the_bytes_json_dumps_does(tmp_path):
     shape=st.lists(st.integers(0, 4), min_size=1, max_size=3),
     dtype=st.sampled_from([np.float64, np.int64, np.uint8]),
     values=st.lists(_FLOAT64, min_size=64, max_size=64),
+    step=st.sampled_from([1, 2]),
 )
-def test_write_json_lays_out_a_number_array_as_its_tolist(tmp_path_factory, shape, dtype, values):
+def test_write_json_lays_out_a_number_array_as_its_tolist(tmp_path_factory, shape, dtype, values, step):
     size = math.prod(shape)
-    array = np.resize(np.array(values), size)
+    array = np.resize(np.array(values), size * step)
     if dtype is not np.float64:
         array = np.nan_to_num(array, posinf=0, neginf=0) % 200
-    array = array.astype(dtype).reshape(shape)
+    array = array.astype(dtype)[::step].reshape(shape)  # a step of 2 makes it strided, not C-contiguous
     path = tmp_path_factory.mktemp("json") / "out.json"
     write_json({"a": array, "b": [array, 1]}, path)
     listed = array.tolist()

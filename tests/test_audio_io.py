@@ -24,7 +24,6 @@ from vadkit import (
     read_wav,
     resample,
     spectrogram,
-    truncate_to,
     write_wav,
 )
 from vadkit.cli import main
@@ -760,36 +759,6 @@ def test_resample_tone_bin_preserved_round_trip():
     assert _tone_peak_bin(out) == {64}
 
 
-def test_truncate_prefix():
-    buf = AudioBuffer(np.arange(32000, dtype=float), 16000)
-    out = truncate_to(buf, 1.0)
-    assert len(out) == 16000
-    assert np.array_equal(out.samples, np.arange(16000, dtype=float))
-
-
-def test_truncate_zero_pads():
-    buf = AudioBuffer(np.ones(8000), 16000)
-    out = truncate_to(buf, 1.0)
-    assert len(out) == 16000
-    assert np.all(out.samples[:8000] == 1.0)
-    assert np.all(out.samples[8000:] == 0.0)
-
-
-def test_truncate_own_duration_is_identity():
-    # exercises durations with inexact binary representation
-    for n in (4640, 4960, 16000, 12345):
-        buf = AudioBuffer(np.random.default_rng(n).standard_normal(n), 16000)
-        out = truncate_to(buf, buf.duration_s)
-        assert np.array_equal(out.samples, buf.samples)
-
-
-def test_truncate_idempotent():
-    buf = AudioBuffer(np.arange(10000, dtype=float), 16000)
-    once = truncate_to(buf, 0.29)
-    twice = truncate_to(once, 0.29)
-    assert np.array_equal(once.samples, twice.samples)
-
-
 def test_peak_normalize_scales():
     buf = AudioBuffer(np.array([0.1, -0.5, 0.25]), 16000)
     out = peak_normalize(buf, 1.0)
@@ -820,8 +789,6 @@ def test_bad_arguments_raise_invalid_spec(tmp_path):
         AudioBuffer(np.zeros((2, 50)), 16000)
     with pytest.raises(InvalidSpec):
         write_wav(buf, tmp_path / "a.wav", format="pcm24")
-    with pytest.raises(InvalidSpec):
-        truncate_to(buf, 0.0)
     with pytest.raises(InvalidSpec):
         peak_normalize(buf, 1.5)
     assert not (tmp_path / "a.wav").exists()

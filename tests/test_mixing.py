@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from vadkit import AudioBuffer, MixSpec, mix
-from vadkit.errors import InvalidSpec, LengthMismatch, RateMismatch, SilentComponent
+from vadkit import AudioBuffer, MixSpec, mix, write_wav
+from vadkit.cli import main
+from vadkit.errors import EmptySignal, InvalidSpec, LengthMismatch, RateMismatch, SilentComponent
 from vadkit.mixing import ambient_gain_for_snr
 
 
@@ -86,6 +87,22 @@ def test_silent_components_rejected():
     # fixed gain has no SNR to satisfy, silence is fine there
     mixed = mix(speech, silent, MixSpec(ambient_gain=1.0))
     assert np.array_equal(mixed.samples, speech.samples)
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_clips_rejected_before_their_power_is_taken(tmp_path, capsys):
+    speech, ambient = _buffers()
+    empty = np.zeros(0)
+    with pytest.raises(EmptySignal, match="speech clip is empty"):
+        ambient_gain_for_snr(empty, empty, 3.0)
+    with pytest.raises(EmptySignal, match="ambient clip is empty"):
+        ambient_gain_for_snr(speech.samples, empty, 3.0)
+    write_wav(AudioBuffer(empty, 16000), tmp_path / "empty.wav")
+    write_wav(ambient, tmp_path / "amb.wav")
+    out = tmp_path / "m.wav"
+    assert main(["mix", str(tmp_path / "empty.wav"), str(tmp_path / "amb.wav"), "--snr", "3", "--out", str(out)]) == 2
+    assert "speech clip is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rate_and_length_checks():

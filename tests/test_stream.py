@@ -76,7 +76,7 @@ def test_energies_from_any_passes_equal_the_one_block_case(n, windows, sizes, se
     ]
     samples = np.random.default_rng(seed).standard_normal(n)
     stages = [WindowEnergies(config, rate, n) for config in configs]
-    feed_squares(_passes(samples, sizes), stages, _kernels.PassBuffers())
+    feed_squares(_passes(samples, sizes), stages, _kernels.PassBuffers().squares)
     for config, stage in zip(configs, stages):
         energies, floor_db = stage.energies()
         want, want_floor = frame_energies(AudioBuffer(samples, rate), config)
@@ -109,7 +109,7 @@ def test_a_second_clip_reuses_the_same_buffers():
     for n in (PASS + 5000, PASS + 3000):
         clip = AudioBuffer(rng.standard_normal(n), 16000)
         window = WindowEnergies(config, 16000, n)
-        feed_squares(filter_passes(cascade, clip, buffers), [window], buffers)
+        feed_squares(filter_passes(cascade, clip, buffers), [window], buffers.squares)
         arrays.append((buffers.rows, buffers.products, buffers.squares))
         energies, floor_db = window.energies()
         want, want_floor = frame_energies(apply_cascade(cascade, clip), config)
@@ -126,10 +126,11 @@ def _whole_clip_energies(samples, config):
     return window.energies()
 
 
-@pytest.mark.parametrize("window_s, limit", [(0.31, 4e6), (5.0, 6e6)])
+@pytest.mark.parametrize("window_s, limit", [(0.31, 4e6), (5.0, 6e6), (0.02, 1.6e6)])
 def test_frame_energies_of_a_minute_hold_no_whole_clip_array(window_s, limit):
     """60 s at 16 kHz peaked at 9.4 MB of traced memory with its squares in one array; in passes of
-    PASS samples it holds the pass buffers, and for a window over PASS / 2 one array sized by the window."""
+    PASS samples it holds one squares array of 2 * PASS samples (1 MB; the filter's 2.2 MB of pass
+    buffers would go unused), and for a window over PASS / 2 also one array sized by the window."""
     config = VadConfig(window_length_s=window_s)
     samples = np.random.default_rng(60).standard_normal(60 * 16000)
     buffer = AudioBuffer(samples, 16000)
@@ -152,7 +153,7 @@ def test_a_window_over_half_a_pass_leaves_the_buffers_as_they_were():
     clip = AudioBuffer(np.random.default_rng(8).standard_normal(3 * PASS + 77), 16000)
     config = VadConfig(window_length_s=2 * PASS / 16000, hop_length_s=30001 / 16000)
     window = WindowEnergies(config, 16000, len(clip))
-    feed_squares(filter_passes(cascade, clip, buffers), [window], buffers)
+    feed_squares(filter_passes(cascade, clip, buffers), [window], buffers.squares)
     after = [(a, a.shape) for a in (buffers.rows, buffers.products, buffers.squares)]
     assert all(a is b and sa == sb for (a, sa), (b, sb) in zip(before, after))
     energies, floor_db = window.energies()

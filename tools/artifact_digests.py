@@ -103,6 +103,9 @@ COMMANDS = [
                                        "--fft-size", "256", "--spectrogram-hop", "64", "--out", "spec256.json"]),
     ("spectrogram-pgm-fft256-hop64", ["spectrogram", "corpus/speech_a.wav", "--format", "pgm",
                                       "--fft-size", "256", "--spectrogram-hop", "64", "--out", "spec256.pgm"]),
+    # A narrow band at 48 kHz: the filter JSON holds b0 = 6.544681809240889e-05, which orjson spells otherwise.
+    ("filter-dump-narrow-48k", ["filter-dump", "--low", "100", "--high", "101", "--sample-rate", "48000",
+                                "--out", "filter_narrow.json"]),
 ]
 
 
