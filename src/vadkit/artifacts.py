@@ -18,8 +18,9 @@ import orjson
 
 from .errors import IoFailure, VadKitError
 
-# Rows formatted per write: the text of a whole long table would raise peak memory.
-_BLOCK_ROWS = 4096
+# Cells per orjson call: the text of a whole long table would raise peak memory. A block's text, about
+# 650 KB, stays on the heap; those of 65,536 cells were mapped anew for each block, about 1,000 page faults per op.
+_BLOCK_CELLS = 32768
 
 
 @contextlib.contextmanager
@@ -111,7 +112,7 @@ def _array_text(array, depth: int) -> bytes | None:
         functools.reduce(lambda inner, _: [inner], range(depth), array),
         option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY,
     )[depth * (depth + 3) : -depth * (depth + 1) or None]  # list i of them writes 2i + 4 bytes before, 2i + 2 after
-    if not _irregular(array.reshape(-1)).size:
+    if not _irregular(array).any():
         return text
     return None if b"null" in text else _json_spelling(text)
 
@@ -150,19 +151,21 @@ def _json_spelling(text: bytes) -> bytes:
 
 
 def write_json_rows(payload: dict, path) -> None:
-    """`json.dumps(payload)` text plus a newline, payload's last value written one row at a time.
+    """`json.dumps(payload)` text plus a newline, payload's last value written a block of rows at a time.
 
     The last value is a 2-D float64 or integer array, written as json
-    writes its `.tolist()`, with its numbers from number_texts; any other
-    value raises TypeError. The C encoder holds the text of every number in
-    a payload until it joins them; row by row, this holds one row's.
+    writes its `.tolist()`; any other value raises TypeError. Each block of
+    about _BLOCK_CELLS cells is one orjson call, whose commas get json's
+    space; the C encoder would hold the text of every number at once.
     """
     *head, (key, rows) = payload.items()
     rows = _numbers(rows, 2)
+    step = max(1, _BLOCK_CELLS // max(rows.shape[1], 1))
     with open_output(path) as fh:
         fh.write(json.dumps({**dict(head), key: []})[:-2].encode())  # all but the closing "]}"
-        for i, row in enumerate(rows):
-            fh.write((b", [" if i else b"[") + _json_numbers(row, b", ") + b"]")
+        for start in range(0, len(rows), step):
+            text = _number_text(rows[start : start + step], json.dumps).replace(b",", b", ")
+            fh.writelines([b", " if start else b"", memoryview(text)[1:-1]])  # [[a, b], [c, d]] less its outer []
         fh.write(b"]}\n")
 
 
@@ -171,45 +174,54 @@ def write_table(path, columns: dict, line_end: str) -> None:
 
     columns maps each name to an equal-length 1-D float64 or integer array;
     any other value raises TypeError. A cell's text is the repr of the
-    Python int or float that `.tolist()` makes of it, which is also what
-    `csv` writes for it, from number_texts. Each block of rows is written
-    on its own.
+    Python int or float that `.tolist()` makes of it, as `csv` writes it.
+    Each block of about _BLOCK_CELLS cells is one orjson call over its rows
+    in the columns' common dtype. If that is float64, integer columns are
+    written from it; with an integer beyond 2**53, Python formats each cell.
     """
     arrays = [_numbers(a, 1) for a in columns.values()]
+    ints = np.array([a.dtype.kind != "f" for a in arrays]) & (np.result_type(*arrays) == np.float64)
+    exact = all(-(2**53) < a.min(initial=0) and a.max(initial=0) < 2**53 for a, i in zip(arrays, ints) if i)
+    step = max(1, _BLOCK_CELLS // len(arrays))
+    row_format = (",".join(["{!r}"] * len(arrays)) + line_end).format
     with open_output(path) as fh:
         fh.write((",".join(columns) + line_end).encode())
-        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
-            cells = [number_texts(a[start : start + _BLOCK_ROWS]) for a in arrays]
-            fh.write((line_end.join(map(",".join, zip(*cells))) + line_end).encode())
+        for start in range(0, len(arrays[0]), step):
+            cells = [a[start : start + step] for a in arrays]
+            if exact:
+                fh.write(_lines(np.stack(cells, axis=1), ints).replace(b"\n", line_end.encode()))
+            else:  # Python formats each cell
+                fh.write("".join(map(row_format, *(c.tolist() for c in cells))).encode())
 
 
-def number_texts(column) -> list[str]:
-    """`repr(x)` for each element x of a 1-D float64 or integer array; TypeError for any other value.
+def _lines(block, ints) -> bytes:
+    """Each row of a 2-D array as a line of its cells' reprs, separated by commas, ended by "\\n"; ints
+    marks the integer columns of a float64 block, whose cells lose orjson's ".0"."""
+    text = np.frombuffer(_number_text(block.ravel(), repr), np.uint8).copy()  # "[c,c,...,c]"
+    ends = np.append(np.flatnonzero(text == ord(",")), text.size - 1).reshape(-1, block.shape[1])  # after each cell
+    text[ends[:, -1]] = ord("\n")
+    return np.delete(text, (ends[:, ints, None] - (2, 1)).ravel())[1:].tobytes()
+
+
+def _number_text(array, spell) -> bytes:
+    """orjson's text of a C-contiguous float64 or integer array, with spell's text (repr or json's) for each number.
 
     orjson writes the text of the whole array in one C call. Its floats have
     the shortest digits that round-trip, as repr's do; it lays them out
     differently only outside 1e-4 <= |x| < 1e16 (0.0000625 for 6.25e-05,
-    1e16 for 1e+16) and writes null for NaN and the infinities, and those
-    few elements get repr.
+    1e16 for 1e+16) and writes null for NaN and the infinities. Those few
+    cells are NaN in the copy orjson writes, and each null gets spell's text.
     """
-    column = _numbers(column, 1)
-    texts = _orjson_body(column).decode().split(",") if column.size else []
-    irregular = _irregular(column)
-    for i, value in zip(irregular.tolist(), column[irregular].tolist()):
-        texts[i] = repr(value)
-    return texts
-
-
-# How json writes the floats that float.__repr__ writes as nan, inf and -inf.
-_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_numbers(column, separator: bytes) -> bytes:
-    """json's text of each number of a 1-D float64 or integer array, joined by separator."""
-    column = _numbers(column, 1)
-    if _irregular(column).size:
-        return separator.join(_FLOAT_NAMES.get(text, text).encode() for text in number_texts(column))
-    return _orjson_body(column).replace(b",", separator)
+    irregular = _irregular(array)
+    if not irregular.any():
+        return orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = orjson.dumps(np.where(irregular, np.nan, array), option=orjson.OPT_SERIALIZE_NUMPY)
+    view, pieces, done = memoryview(text), [], 0
+    for value in array[irregular].tolist():
+        at = text.index(b"n", done)  # orjson writes an n for a number only in null
+        pieces += [view[done:at], spell(value).encode()]
+        done = at + 4
+    return b"".join(pieces + [view[done:]])
 
 
 def _is_number_array(value) -> bool:
@@ -226,17 +238,7 @@ def _numbers(value, ndim: int) -> np.ndarray:
     return np.ascontiguousarray(value)
 
 
-def _orjson_body(column) -> bytes:
-    """orjson's text of a contiguous 1-D array, without its brackets."""
-    return orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-
-
-def _irregular(column) -> np.ndarray:
-    """Indices of the elements whose orjson text is not their repr: non-zero floats outside 1e-4 <= |x| < 1e16.
-
-    NaN, outside every range, is one of them.
-    """
-    if column.dtype.kind != "f":
-        return np.empty(0, dtype=np.intp)
-    magnitude = np.abs(column)
-    return np.flatnonzero(~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (column == 0)))
+def _irregular(array) -> np.ndarray:
+    """Mask of the elements whose orjson text is not their repr: NaN, and non-zero floats outside 1e-4 <= |x| < 1e16."""
+    magnitude = np.abs(array)
+    return ~(((magnitude >= 1e-4) & (magnitude < 1e16)) | (array == 0)) & (array.dtype.kind == "f")

@@ -269,11 +269,9 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:
-    """One CSV row per grid point: its scalar fields, then its report's; CRLF line ends."""
-    rows = [{**field_dict(p), **field_dict(p.report)} for p in result.grid]
-    columns = {
-        name: np.array([row[name] for row in rows])
-        for name, value in rows[0].items()
-        if not dataclasses.is_dataclass(value)
-    }
+    """One CSV row per grid point: its window and threshold, then its report's fields but the config; CRLF line ends."""
+    reports = [p.report for p in result.grid]
+    columns = {name: np.array([getattr(p, name) for p in result.grid]) for name in ("window_s", "threshold_db")}
+    for name in (field.name for field in dataclasses.fields(EvalReport) if field.name != "config"):
+        columns[name] = np.array([getattr(r, name) for r in reports])
     write_table(path, columns, "\r\n")

@@ -169,16 +169,16 @@ def feed_squares(passes, windows, squares: np.ndarray) -> None:
 
     passes are consecutive pieces of the clip of at most PASS samples, as
     `sos_passes` yields them; windows are `WindowEnergies` of that clip.
-    The squares go into squares, an array of 2 * PASS samples such as
-    `PassBuffers.squares`, or, when a window is over PASS / 2 samples, into
-    an array of PASS + 2 * longest window samples made here. Between
-    passes it keeps the squares from the earliest frame some window has
-    still to take, less than the longest window; after the last pass it
-    holds the zeros of the padded last frames, fewer than that too.
+    The squares go into squares, such as `PassBuffers.squares` of 2 * PASS
+    samples, if it holds PASS + 2 * longest window samples, or else into an
+    array of that size made here. Between passes it keeps the squares from
+    the earliest frame some window has still to take, less than the longest
+    window; after the last pass it holds the zeros of the padded last
+    frames, fewer than that too.
     """
     n = windows[0].n
     longest = max(window.win for window in windows)
-    squares = squares if 2 * longest <= PASS else np.empty(PASS + 2 * longest)
+    squares = squares if squares.shape[0] >= PASS + 2 * longest else np.empty(PASS + 2 * longest)
     tail = max(window.reach for window in windows) - n  # zeros after the clip that padded last frames read
     held = top = 0  # squares[:held] holds the squares of samples top - held .. top
     for block in passes:
@@ -198,10 +198,10 @@ def feed_squares(passes, windows, squares: np.ndarray) -> None:
 def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
     """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference.
 
-    `feed_squares` of the buffer in slices of PASS samples, into squares of its own (no `PassBuffers`).
+    `feed_squares` of the buffer in slices of PASS samples; given no room, it makes the squares the window needs.
     """
     window = WindowEnergies(config, buffer.sample_rate_hz, len(buffer))
-    feed_squares((buffer.samples[p0 : p0 + PASS] for p0 in range(0, len(buffer), PASS)), [window], np.empty(2 * PASS))
+    feed_squares((buffer.samples[p0 : p0 + PASS] for p0 in range(0, len(buffer), PASS)), [window], np.empty(0))
     return window.energies()
 
 

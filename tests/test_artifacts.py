@@ -1,18 +1,20 @@
 """artifacts' writers write the bytes of json.dumps and of each number's repr: write_json those of
-json.dumps(payload, indent=2) plus a newline, and number_texts those of repr."""
+json.dumps(payload, indent=2) plus a newline, write_json_rows those of json.dumps(payload) plus a
+newline, and write_table each cell's repr."""
 
 import dataclasses
 import datetime
 import enum
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vadkit.artifacts import number_texts, write_json, write_json_rows, write_table
+from vadkit.artifacts import _BLOCK_CELLS, write_json, write_json_rows, write_table
 
 
 class Level(enum.IntEnum):
@@ -108,8 +110,22 @@ def test_write_json_refuses_what_json_refuses(tmp_path, payload):
     assert str(got.value) == str(expected.value)
 
 
-# number_texts: repr's text from one orjson call, for float64 and integer arrays.
+# Number texts: write_table writes each number as its repr, from orjson's text and, for the few
+# numbers orjson spells otherwise, from repr; the texts of a one-column table are checked here.
+def _table_by_format(columns: dict, line_end: str) -> bytes:
+    """The table as write_table wrote it before orjson: each cell "{!r}" of its `.tolist()` value."""
+    row = ",".join(["{!r}"] * len(columns)) + line_end
+    body = "".join(map(row.format, *(a.tolist() for a in columns.values())))
+    return (",".join(columns) + line_end + body).encode()
 
+
+def _writes_each_repr(path, column) -> bool:
+    """Whether write_table writes column, alone in its table, as its format did."""
+    write_table(path, {"x": column}, "\n")
+    return path.read_bytes() == _table_by_format({"x": column}, "\n")
+
+
+# Floats whose orjson text is not their repr (outside 1e-4 <= |x| < 1e16, NaN and the infinities), and the edges.
 _BOUNDARY_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.0**53, 2.0**53 + 2, 1.5, 0.1, 1e300, 1.7976931348623157e308,
     math.nan, math.inf, -math.inf,
@@ -123,24 +139,21 @@ _FLOAT64 = st.one_of(
 )
 
 
-def _reprs(column) -> list[str]:
-    return [repr(value) for value in column.tolist()]
-
-
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(_FLOAT64, max_size=40))
-def test_number_texts_are_the_reprs_of_float64(values):
+def test_number_texts_are_the_reprs_of_float64(tmp_path_factory, values):
     column = np.array(values, dtype=np.float64)
-    assert number_texts(column) == _reprs(column)
-    assert number_texts(column[::-2]) == _reprs(column[::-2])  # a strided view
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    assert _writes_each_repr(path, column)
+    assert _writes_each_repr(path, column[::-2])  # a strided view
 
 
-def test_number_texts_on_many_bit_patterns_and_boundaries():
+def test_number_texts_on_many_bit_patterns_and_boundaries(tmp_path):
     rng = np.random.default_rng(19)
     bits = rng.integers(0, 2**64, size=50_000, dtype=np.uint64, endpoint=False).view(np.float64)
     spread = 10.0 ** rng.uniform(-6, 18, size=50_000) * rng.choice([-1.0, 1.0], size=50_000)
     for column in (bits, spread, np.array(_BOUNDARY_FLOATS), -np.array(_BOUNDARY_FLOATS), np.empty(0)):
-        assert number_texts(column) == _reprs(column)
+        assert _writes_each_repr(tmp_path / "t.csv", column)
 
 
 _NOT_NUMBER_ARRAYS = [
@@ -157,11 +170,9 @@ _NOT_NUMBER_IDS = ["float32", "float16", "bool", "object", "list", "0-d", "big-e
 
 @pytest.mark.parametrize("value", _NOT_NUMBER_ARRAYS, ids=_NOT_NUMBER_IDS)
 def test_writers_refuse_what_is_not_a_float64_or_integer_array(tmp_path, value):
-    """number_texts and write_table take 1-D, and write_json_rows 2-D, float64 or integer arrays, and
-    write_json leaves every other array to json, which refuses it."""
+    """write_table takes 1-D, and write_json_rows 2-D, float64 or integer arrays, and write_json
+    leaves every other array to json, which refuses it."""
     rows = np.stack([value] * 2).astype(value.dtype) if isinstance(value, np.ndarray) and value.ndim else [value, value]
-    with pytest.raises(TypeError):
-        number_texts(value)
     with pytest.raises(TypeError):
         write_table(tmp_path / "t.csv", {"a": np.arange(3), "b": value}, "\n")
     with pytest.raises(TypeError):
@@ -173,18 +184,58 @@ def test_writers_refuse_what_is_not_a_float64_or_integer_array(tmp_path, value):
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64])
-def test_number_texts_of_integers(dtype):
+def test_number_texts_of_integers(tmp_path, dtype):
     info = np.iinfo(dtype)
     column = np.array([info.min, info.max, 0, 1, info.max // 3], dtype=dtype)
-    assert number_texts(column) == _reprs(column)
-    assert number_texts(column[1::2]) == _reprs(column[1::2])
+    assert _writes_each_repr(tmp_path / "t.csv", column)
+    assert _writes_each_repr(tmp_path / "t.csv", column[1::2])
 
 
-def _table_by_format(columns: dict, line_end: str) -> bytes:
-    """The table as write_table wrote it before number_texts: each cell "{!r}" of its `.tolist()` value."""
-    row = ",".join(["{!r}"] * len(columns)) + line_end
-    body = "".join(map(row.format, *(a.tolist() for a in columns.values())))
-    return (",".join(columns) + line_end + body).encode()
+def test_write_table_writes_nan_and_the_infinities_as_repr_does(tmp_path):
+    write_table(tmp_path / "t.csv", {"x": np.array([math.nan, math.inf, -math.inf, 1e-05, 1e16])}, "\r\n")
+    assert (tmp_path / "t.csv").read_bytes() == b"x\r\nnan\r\ninf\r\n-inf\r\n1e-05\r\n1e+16\r\n"
+
+
+def test_write_table_at_the_edges_of_its_blocks(tmp_path):
+    """Cells orjson spells unlike repr first and last in a block and last in a row, in a table of
+    exactly two blocks of one dtype and in a mixed-dtype table that crosses a block; integers beside
+    floats up to 2**53 - 1, which float64 holds, and past it, which it does not."""
+    rng = np.random.default_rng(22)
+    step = _BLOCK_CELLS // 2  # rows in a block of two columns
+    a, b = rng.standard_normal((2, _BLOCK_CELLS))
+    a[0], b[step - 1], a[step], b[5], b[-1] = math.nan, 1e-05, -math.inf, 1e16, math.inf
+    tables = [{"a": a, "b": b}]
+    step = _BLOCK_CELLS // 4  # rows in a block of four columns; the two float64 columns are one run
+    n = step + 3
+    c, d = rng.standard_normal((2, n))
+    c[0], d[step - 1], c[step], d[-1] = 6.25e-05, -math.nan, 1e20, -5e-324
+    tables.append({"index": np.arange(n), "c": c, "d": d, "flag": rng.integers(0, 2, n).astype(np.int8)})
+    edge = np.array([2**53 - 1, 1 - 2**53, 0, -7])
+    for n in (edge, edge + [2, 0, 0, 0], edge - [0, 2, 0, 0]):  # then 2**53 + 1, then -(2**53) - 1
+        tables.append({"x": np.array([0.5, -0.0, math.nan, 1e-05]), "n": n})
+    tables.append({"i": edge, "u": np.array([2**64 - 1, 0, 3, 2**63], dtype=np.uint64)})  # their common dtype is float64
+    for columns in tables:
+        for line_end in ("\n", "\r\n"):
+            write_table(tmp_path / "t.csv", columns, line_end)
+            assert (tmp_path / "t.csv").read_bytes() == _table_by_format(columns, line_end)
+
+
+def test_writers_hold_a_block_of_text_at_a_time(tmp_path):
+    """The text of the whole table or matrix would take 39 and 42 MB."""
+    rng = np.random.default_rng(8)
+    columns = {"a": rng.standard_normal(1_000_000), "b": rng.standard_normal(1_000_000)}
+    matrix = rng.standard_normal((4000, 513))
+    for write in (
+        lambda: write_table(tmp_path / "t.csv", columns, "\n"),
+        lambda: write_json_rows({"fft_size": 1024, "rows": matrix}, tmp_path / "rows.json"),
+    ):
+        tracemalloc.start()
+        try:
+            write()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
 
 _COLUMN_DTYPES = [np.float64, np.int64, np.int8, np.uint16]
@@ -230,14 +281,20 @@ def test_write_json_rows_writes_the_bytes_json_dumps_does(tmp_path):
     matrix = 20 * np.log10(rng.random((7, 9)) + 1e-9)
     matrix[2, 3], matrix[4, :2], matrix[5, 0] = math.nan, (math.inf, -math.inf), 1e-5
     head = {"fft_size": 1024, "note": "ünï", "scale": 0.5}
+    step = _BLOCK_CELLS // 513  # rows in a block of 513 columns
+    spectrum = 20 * np.log10(rng.random((2 * step + 3, 513)))  # three blocks
+    spectrum[0, 0], spectrum[step - 1, -1], spectrum[step, 0], spectrum[-1, -1] = math.nan, 1e-05, -math.inf, 1e16
     payloads = [
         ({**head, "rows": matrix}, {**head, "rows": matrix.tolist()}),
         ({"rows": np.empty((0, 3))}, {"rows": []}),
         ({"rows": np.empty((2, 0))}, {"rows": [[], []]}),
+        ({"rows": spectrum}, {"rows": spectrum.tolist()}),
     ]
     for payload, listed in payloads:
         write_json_rows(payload, tmp_path / "rows.json")
         assert (tmp_path / "rows.json").read_bytes() == (json.dumps(listed) + "\n").encode()
+    write_json_rows({"rows": np.array([[math.nan, math.inf], [-math.inf, 1e-05]])}, tmp_path / "rows.json")
+    assert (tmp_path / "rows.json").read_bytes() == b'{"rows": [[NaN, Infinity], [-Infinity, 1e-05]]}\n'
 
 
 @settings(max_examples=100, deadline=None)

@@ -126,11 +126,12 @@ def _whole_clip_energies(samples, config):
     return window.energies()
 
 
-@pytest.mark.parametrize("window_s, limit", [(0.31, 4e6), (5.0, 6e6), (0.02, 1.6e6)])
+@pytest.mark.parametrize("window_s, limit", [(0.31, 4e6), (5.0, 6e6), (0.02, 1.6e6), (5.0, 2.2e6)])
 def test_frame_energies_of_a_minute_hold_no_whole_clip_array(window_s, limit):
     """60 s at 16 kHz peaked at 9.4 MB of traced memory with its squares in one array; in passes of
-    PASS samples it holds one squares array of 2 * PASS samples (1 MB; the filter's 2.2 MB of pass
-    buffers would go unused), and for a window over PASS / 2 also one array sized by the window."""
+    PASS samples it holds one squares array of PASS + 2 * window samples (the filter's 2.2 MB of pass
+    buffers would go unused): 1.8 MB at a 5 s window, where a second array of 2 * PASS samples
+    (1 MB) took it to 2.85 MB."""
     config = VadConfig(window_length_s=window_s)
     samples = np.random.default_rng(60).standard_normal(60 * 16000)
     buffer = AudioBuffer(samples, 16000)

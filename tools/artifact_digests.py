@@ -106,6 +106,10 @@ COMMANDS = [
     # A narrow band at 48 kHz: the filter JSON holds b0 = 6.544681809240889e-05, which orjson spells otherwise.
     ("filter-dump-narrow-48k", ["filter-dump", "--low", "100", "--high", "101", "--sample-rate", "48000",
                                 "--out", "filter_narrow.json"]),
+    # 25,000 frames of five columns of three dtypes (int64, three float64, int8): the frames CSV
+    # crosses blocks of the table writer.
+    ("detect-pcm24-w20-h1", ["detect", _PCM24, "--out", "detect_pcm24_h1.json", "--frames-csv", "detect_pcm24_h1.csv",
+                             "--window", "0.02", "--hop", "0.001", "--threshold", "12"]),
 ]
 
 
