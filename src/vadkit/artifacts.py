@@ -200,7 +200,9 @@ def _lines(block, ints) -> bytes:
     text = np.frombuffer(_number_text(block.ravel(), repr), np.uint8).copy()  # "[c,c,...,c]"
     ends = np.append(np.flatnonzero(text == ord(",")), text.size - 1).reshape(-1, block.shape[1])  # after each cell
     text[ends[:, -1]] = ord("\n")
-    return np.delete(text, (ends[:, ints, None] - (2, 1)).ravel())[1:].tobytes()
+    if ints.any():
+        text = np.delete(text, (ends[:, ints, None] - (2, 1)).ravel())
+    return text[1:].tobytes()
 
 
 def _number_text(array, spell) -> bytes:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .artifacts import open_output
@@ -434,7 +433,7 @@ def frame_samples(samples: np.ndarray, win: int, hop: int) -> np.ndarray:
     n_frames = -(-n // hop)
     xpad = np.zeros((n_frames - 1) * hop + win)
     xpad[:n] = samples[: xpad.size]
-    return sliding_window_view(xpad, win)[::hop]
+    return _kernels._windows(xpad, win, hop)
 
 
 def peak_normalize(buffer: AudioBuffer, target_peak: float = 1.0) -> AudioBuffer:

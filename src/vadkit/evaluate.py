@@ -19,9 +19,9 @@ import numpy as np
 from .artifacts import field_dict, json_number, read_json, write_json, write_table
 from .audio_io import read_wav
 from .errors import LabelOutOfRange, SweepFailure, VadKitError
-from ._kernels import PassBuffers
+from ._kernels import PASS, PassBuffers
 from .filters import BiquadCascade, filter_passes
-from .vad import VadConfig, VadResult, WindowEnergies, config_to_dict, feed_squares
+from .vad import VadConfig, VadResult, WindowEnergies, config_to_dict, energies_db, feed_squares
 
 
 @dataclass(frozen=True)
@@ -102,21 +102,11 @@ def truth_frame_flags(starts: np.ndarray, window: float, clip: LabeledClip) -> n
     return covered >= 0.5 * window
 
 
-def _confusion_counts(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """(tp, fp, tn, fn) along the first axis, each summed over the frame axis.
-
-    Only tp needs a product; the rest follow from the flagged and speech totals.
-    """
-    tp = np.sum(predicted & truth, axis=-1)
-    flagged = np.sum(predicted, axis=-1)
-    speech = np.sum(truth, axis=-1)
-    return np.stack([tp, flagged - tp, truth.shape[-1] - flagged - speech + tp, speech - tp])
-
-
 def score(result: VadResult, clip: LabeledClip) -> EvalReport:
     truth = truth_frame_flags(result.frames.start_s, result.config.window_length_s, clip)
-    counts = _confusion_counts(result.frames.is_speech, truth)
-    return EvalReport.from_counts(*counts.tolist(), result.config)
+    predicted = result.frames.is_speech
+    tp, flagged, speech = (int(np.sum(flags)) for flags in (predicted & truth, predicted, truth))
+    return EvalReport.from_counts(tp, flagged - tp, truth.size - flagged - speech + tp, speech - tp, result.config)
 
 
 def load_manifest(path) -> list[LabeledClip]:
@@ -162,33 +152,6 @@ def _parallel_map(fn, args: list[tuple], jobs: int) -> list:
     return [fn(*a) for a in args]
 
 
-def _clip_counts(clip: LabeledClip, cascade: BiquadCascade, configs, thresholds_db, buffers) -> np.ndarray:
-    """Confusion counts of one clip, shape (config, 4, threshold).
-
-    The clip is read and resampled once, and bandpassed pass by pass
-    through buffers, a `PassBuffers`; each pass is squared once, and
-    every config's window takes its frames from those squares. Every
-    threshold is scored from the window's SNR column. A failure in
-    detection or scoring names the clip and the window.
-    """
-    buffer = read_wav(clip.audio_path, cascade.spec.sample_rate_hz)[0]
-    passes = filter_passes(cascade, buffer, buffers)
-    windows, truths = [], []
-    for config in configs:  # every check that needs no samples, in config order
-        with _naming(clip, config):
-            windows.append(WindowEnergies(config, buffer.sample_rate_hz, len(buffer)))
-            starts = np.arange(windows[-1].frames) * config.hop_s
-            truths.append(truth_frame_flags(starts, config.window_length_s, clip))
-    feed_squares(passes, windows, buffers.squares)
-    thresholds = np.array(thresholds_db)[:, None]
-    counts = []
-    for config, window, truth in zip(configs, windows, truths):
-        with _naming(clip, config):
-            energies, floor_db = window.energies()
-            counts.append(_confusion_counts(energies - floor_db >= thresholds, truth))
-    return np.array(counts)
-
-
 @contextlib.contextmanager
 def _naming(clip: LabeledClip, config: VadConfig):
     """Re-raise a VadKitError with the clip and the window named."""
@@ -199,13 +162,64 @@ def _naming(clip: LabeledClip, config: VadConfig):
 
 
 def _chunk_counts(clips, cascade: BiquadCascade, configs, thresholds_db) -> list[np.ndarray]:
-    """`_clip_counts` of each clip in order, all through one set of pass buffers."""
+    """Confusion counts of each clip, in order, each of shape (config, 4, threshold).
+
+    Each clip is read once, filtered pass by pass through one `PassBuffers`
+    and squared once per pass; every config's window takes its frames from
+    those squares. The checks that need no samples run first and name the
+    clip and the window. Clips gather in groups of at most PASS frames over
+    all windows (a longer clip alone), which `_group_counts` scores.
+    """
     buffers = PassBuffers()
-    return [_clip_counts(clip, cascade, configs, thresholds_db, buffers) for clip in clips]
+    counts, group, held = [], [], 0
+    for clip in clips:
+        buffer = read_wav(clip.audio_path, cascade.spec.sample_rate_hz)[0]
+        windows, truths = [], []
+        for config in configs:  # every check that needs no samples, in config order
+            with _naming(clip, config):
+                windows.append(WindowEnergies(config, buffer.sample_rate_hz, len(buffer)))
+                starts = np.arange(windows[-1].frames) * config.hop_s
+                truths.append(truth_frame_flags(starts, config.window_length_s, clip))
+        frames = sum(window.frames for window in windows)
+        if group and held + frames > PASS:
+            counts += _group_counts(group, configs, thresholds_db)
+            group, held = [], 0
+        feed_squares(filter_passes(cascade, buffer, buffers), windows, buffers.squares)
+        group.append((windows, truths))
+        held += frames
+    return counts + _group_counts(group, configs, thresholds_db) if group else counts
+
+
+def _group_counts(group, configs, thresholds_db) -> list[np.ndarray]:
+    """The counts of each clip of a group of (windows, truth flags), from one log and floor pass per window.
+
+    A frame clears the searchsorted(distinct thresholds, snr, "right")
+    lowest distinct thresholds. Bincounts keyed by (clip, that number),
+    over all frames and over speech frames, summed from the top, give
+    flagged and tp per clip and threshold.
+    """
+    levels, column = np.unique(thresholds_db, return_inverse=True)
+    width, per_window = levels.size + 1, []
+    for j, config in enumerate(configs):
+        windows = [clip_windows[j] for clip_windows, _ in group]
+        frames = [window.frames for window in windows]
+        energies, floors = energies_db(np.concatenate([p for window in windows for p in window.powers]), config, frames)
+        keys = np.repeat(np.arange(len(group)) * width, frames)
+        keys += np.searchsorted(levels, energies - np.repeat(floors, frames), "right")
+        everything = _at_least(keys, len(group), width)
+        speech = _at_least(keys[np.concatenate([truths[j] for _, truths in group])], len(group), width)
+        flagged, tp = everything[:, column + 1], speech[:, column + 1]
+        per_window.append([tp, flagged - tp, everything[:, :1] - flagged - speech[:, :1] + tp, speech[:, :1] - tp])
+    return list(np.array(per_window).transpose(2, 0, 1, 3))
+
+
+def _at_least(keys: np.ndarray, clips: int, width: int) -> np.ndarray:
+    """Row c, column i: how many keys c * width + k have k >= i."""
+    return np.bincount(keys, minlength=clips * width).reshape(clips, width)[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
 def _counts_per_clip(clips, cascade: BiquadCascade, configs, thresholds_db, jobs: int) -> list[np.ndarray]:
-    """`_clip_counts` of every clip, in order, over up to jobs processes.
+    """`_chunk_counts` of every clip, in order, over up to jobs processes.
 
     The clips go out in min(jobs, clips) contiguous chunks, one task each,
     so that each worker reuses one set of pass buffers for its chunk.
@@ -238,10 +252,10 @@ def sweep(
 ) -> SweepResult:
     """Grid search over window length and SNR threshold.
 
-    Every grid value is checked first. Each clip is then scored in one
-    `_clip_counts` call (over `jobs` processes), which takes frame energies
-    once per window and scores every threshold. Best point maximizes F1, ties
-    broken by lower threshold, then shorter window.
+    Every grid value is checked first. The clips are then scored by
+    `_chunk_counts` (over `jobs` processes), which takes frame energies
+    once per clip and window and scores every threshold from them. Best
+    point maximizes F1, ties broken by lower threshold, then shorter window.
     """
     windows_s = [float(w) for w in windows_s]
     thresholds_db = [float(t) for t in thresholds_db]

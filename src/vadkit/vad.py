@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import PASS, PassBuffers
+from ._kernels import PASS, PassBuffers, _windows
 from .artifacts import field_dict, write_table
 from .audio_io import AudioBuffer, frame_samples, sample_count
 from .errors import EmptySignal, InvalidSpec, NoFrames
@@ -152,16 +151,22 @@ class WindowEnergies:
         count = min(self.frames, (end - self.win) // self.hop + 1) - self.done
         if count > 0:
             first = self.done * self.hop - start
-            rows = sliding_window_view(squares[first : first + (count - 1) * self.hop + self.win], self.win)
-            self.powers.append(np.add.reduce(rows[:: self.hop], axis=1) / self.win)
+            rows = _windows(squares[first : first + (count - 1) * self.hop + self.win], self.win, self.hop)
+            self.powers.append(np.add.reduce(rows, axis=1) / self.win)
             self.done += count
 
     def energies(self) -> tuple[np.ndarray, float]:
         """Frame energies and the noise floor, both in dB, once every frame is taken; SNR is their difference."""
-        # The log stays scalar, because np.log10 can differ from math.log10 by one ulp.
-        powers = np.maximum(np.concatenate(self.powers), self.config.energy_floor)
-        energies = 10.0 * np.array(list(map(math.log10, powers.tolist())))
-        return energies, estimate_noise_floor_db(energies, self.config)
+        energies, (floor_db,) = energies_db(np.concatenate(self.powers), self.config, [self.frames])
+        return energies, floor_db
+
+
+def energies_db(powers: np.ndarray, config: VadConfig, frames) -> tuple[np.ndarray, list[float]]:
+    """Frame energies in dB of the frame powers, clamped below by the energy floor, and the noise floor of
+    each run of frames[i] consecutive energies: one log over many clips' frames, one floor per clip."""
+    # The log stays scalar, because np.log10 can differ from math.log10 by one ulp.
+    energies = 10.0 * np.fromiter(map(math.log10, np.maximum(powers, config.energy_floor).tolist()), float, len(powers))
+    return energies, [estimate_noise_floor_db(part, config) for part in np.split(energies, np.cumsum(frames[:-1]))]
 
 
 def feed_squares(passes, windows, squares: np.ndarray) -> None:

@@ -25,8 +25,9 @@ from vadkit import (
     sweep,
 )
 from vadkit.errors import LabelOutOfRange, SweepFailure
-from vadkit._kernels import PassBuffers
-from vadkit.evaluate import _clip_counts, sweep_to_csv
+from vadkit._kernels import PASS, PassBuffers
+from vadkit.audio_io import AudioBuffer, write_wav
+from vadkit.evaluate import _chunk_counts, sweep_to_csv
 from vadkit.vad import FRAME_DTYPE, detect_prefiltered, merge_intervals
 
 
@@ -282,12 +283,12 @@ def filtered_clips(corpus_dir):
     thresholds=st.lists(st.just(0.0) | st.floats(-20.0, 120.0), min_size=1, max_size=6),
 )
 def test_energy_column_scoring_matches_full_detection(filtered_clips, index, windows, hop_fraction, thresholds):
-    """`_clip_counts` scores each threshold as `score(detect_prefiltered(...))` does for that threshold."""
+    """`_chunk_counts` scores each threshold as `score(detect_prefiltered(...))` does for that threshold."""
     cascade, pairs = filtered_clips
     clip, filtered = pairs[index]
     configs = [VadConfig(window_length_s=w, hop_length_s=None if hop_fraction is None else w * hop_fraction)
                for w in windows]
-    counts = _clip_counts(clip, cascade, configs, thresholds, PassBuffers())
+    (counts,) = _chunk_counts([clip], cascade, configs, thresholds)
     for config, config_counts in zip(configs, counts):
         for threshold, column in zip(thresholds, config_counts.T.tolist()):
             report = score(detect_prefiltered(filtered, dataclasses.replace(config, snr_threshold_db=threshold)), clip)
@@ -327,17 +328,83 @@ def test_clips_of_one_task_share_one_set_of_pass_buffers(corpus_dir, monkeypatch
 
     monkeypatch.setattr(evaluate, "PassBuffers", counted_buffers)
 
-    def recorded(clip, cascade, configs, thresholds_db, buffers):
-        counts = _clip_counts(clip, cascade, configs, thresholds_db, buffers)
+    def recorded(cascade, buffer, buffers, _original=evaluate.filter_passes):
         seen.append((buffers, buffers.rows, buffers.products, buffers.squares))
-        return counts
+        return _original(cascade, buffer, buffers)
 
-    monkeypatch.setattr(evaluate, "_clip_counts", recorded)
+    monkeypatch.setattr(evaluate, "filter_passes", recorded)
     counts = evaluate._counts_per_clip(clips[:4], cascade, configs, [6.0, 12.0], jobs=1)
     assert len(made) == 1 and len(seen) == 4
     assert all(all(a is b for a, b in zip(entry, seen[0])) for entry in seen)
     for clip, clip_counts in zip(clips[:4], counts):  # as fresh buffers give them
-        assert (clip_counts == _clip_counts(clip, cascade, configs, [6.0, 12.0], PassBuffers())).all()
+        assert (clip_counts == _chunk_counts([clip], cascade, configs, [6.0, 12.0])[0]).all()
+
+
+@pytest.fixture(scope="module")
+def uneven_clips(corpus_dir, tmp_path_factory):
+    """Five corpus clips cut to different lengths, one of them shorter than the longest window."""
+    clips, cascade = _sweep_fixture(corpus_dir)
+    root = tmp_path_factory.mktemp("uneven")
+    cut = []
+    for clip, seconds in zip(clips[3:8], (4.0, 0.3, 2.71, 1.0, 3.333)):
+        buffer = read_wav(clip.audio_path)[0]
+        path = str(root / f"cut_{seconds}.wav")
+        write_wav(AudioBuffer(buffer.samples[: round(seconds * buffer.sample_rate_hz)], buffer.sample_rate_hz), path)
+        intervals = tuple((s, min(e, seconds)) for s, e in clip.speech_intervals if s < seconds)
+        cut.append(LabeledClip(audio_path=path, speech_intervals=intervals))
+    return cut, cascade
+
+
+@pytest.mark.parametrize("bound", [1, 1000, PASS])
+def test_chunk_counts_equal_each_clip_scored_alone(uneven_clips, monkeypatch, bound):
+    """Clips scored in groups of at most bound frames give each clip's own counts, whatever the grouping."""
+    from vadkit import evaluate
+
+    clips, cascade = uneven_clips
+    configs = [VadConfig(window_length_s=0.02, hop_length_s=0.005), VadConfig(window_length_s=0.5, hop_length_s=0.3),
+               VadConfig(window_length_s=0.155, noise_percentile=0.5)]
+    thresholds = [12.0, 0.0, 6.0, 12.0, -3.0, 0.0, 30.0]  # unsorted, duplicated, and 0.0: the floor frame's SNR
+    alone = [_chunk_counts([clip], cascade, configs, thresholds)[0] for clip in clips]
+    groups = []
+    monkeypatch.setattr(evaluate, "PASS", bound)
+    monkeypatch.setattr(evaluate, "_group_counts", lambda group, *a, _f=evaluate._group_counts: groups.append(
+        len(group)) or _f(group, *a))
+    together = _chunk_counts(clips, cascade, configs, thresholds)
+    assert groups == {1: [1] * 5, 1000: [2, 2, 1], PASS: [5]}[bound]
+    assert len(together) == len(clips)
+    for one, other in zip(alone, together):
+        assert one.shape == (3, 4, 7) and (one == other).all()
+        assert (one[:, :, 1] == one[:, :, 5]).all() and (one[:, :, 0] == one[:, :, 3]).all()
+        assert (one[:, 0, 1] + one[:, 1, 1]).min() >= 1  # 0.0 dB flags at least the floor frame
+    if bound == 1:  # and each clip alone scores as full detection does
+        for clip, counts in zip(clips, alone):
+            filtered = apply_cascade(cascade, read_wav(clip.audio_path)[0])
+            for config, config_counts in zip(configs, counts):
+                for threshold, column in zip(thresholds, config_counts.T.tolist()):
+                    report = score(detect_prefiltered(filtered, dataclasses.replace(config, snr_threshold_db=threshold)),
+                                   clip)
+                    assert column == [report.tp, report.fp, report.tn, report.fn], (clip, config, threshold)
+
+
+def test_scoring_many_clips_holds_about_one_group_of_frames(corpus_dir):
+    """40 clips at a 2 ms window (2,000 frames each) peak as the 32 clips of one PASS-frame group do."""
+    import tracemalloc
+
+    clips, cascade = _sweep_fixture(corpus_dir)
+    configs = [VadConfig(window_length_s=0.002)]
+    per_clip = -(-round(4.0 * 16000) // 32)
+    assert PASS // per_clip == 32 < 40
+
+    def peak(count):
+        _chunk_counts([clips[5]], cascade, configs, [6.0])  # caches and imports first
+        tracemalloc.start()
+        try:
+            _chunk_counts([clips[5]] * count, cascade, configs, [0.0, 6.0, 12.0])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) < 1.05 * peak(32)
 
 
 def test_sweep_csv_format(corpus_dir, tmp_path):

@@ -1,5 +1,5 @@
 """tools/compare_artifacts.py sorts each file of two trees into one of three results;
-tools/bench_pairs.py summarizes paired benchmark runs."""
+tools/bench_pairs.py summarizes paired benchmark runs, tools/bench_lockstep.py per-op ratios."""
 
 import importlib.util
 import json
@@ -15,6 +15,11 @@ _SPEC = importlib.util.spec_from_file_location(
 )
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_lockstep", Path(__file__).resolve().parent.parent / "tools" / "bench_lockstep.py"
+)
+bench_lockstep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_lockstep)
 
 
 def _tree(root: Path, files: dict) -> str:
@@ -106,3 +111,28 @@ def test_bench_pairs_clears_bytecode_from_a_checkout(tmp_path):
     left = sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
     assert left == ["perfbench", "src", "src/vadkit", "src/vadkit/cli.py", "tools", "tools/bench_pairs.py"]
     assert bench_pairs.clear_bytecode(root) == 0
+
+
+def test_bench_lockstep_summary_of_synthetic_ratios():
+    same = bench_lockstep.summarize([0.9] * 50)
+    assert same == {"median": 0.9, "q1": 0.9, "q3": 0.9, "ci95": [0.9, 0.9], "n": 50}
+
+    ratios = [0.8 + 0.01 * i for i in range(21)]  # 0.80 .. 1.00, median 0.90
+    spread = bench_lockstep.summarize(ratios)
+    assert spread["median"] == ratios[10] and (spread["q1"], spread["q3"]) == (ratios[5], ratios[15])
+    low, high = spread["ci95"]
+    assert ratios[5] <= low <= spread["median"] <= high <= ratios[15]
+    assert bench_lockstep.summarize(ratios) == spread  # the bootstrap is seeded
+
+    null = bench_lockstep.summarize([1.0 + (-1) ** i * 0.01 * (i % 7) for i in range(200)])
+    assert null["ci95"][0] <= 1.0 <= null["ci95"][1]
+    shifted = bench_lockstep.summarize([0.85 + (-1) ** i * 0.01 * (i % 7) for i in range(200)])
+    assert shifted["ci95"][1] < 0.92
+
+
+def test_bench_lockstep_runs_a_tree_against_itself(tmp_path):
+    root = str(Path(__file__).resolve().parent.parent)
+    result = bench_lockstep.run(root, root, "sweep-corpus", 2, 3, str(tmp_path))
+    assert [len(result["runs"][side]) for side in ("parent", "change")] == [2, 2]
+    assert result["ratios"]["cpu_s"]["n"] == result["ratios"]["wall_s"]["n"] == 2
+    assert all(t["cpu_s"] > 0 and t["wall_s"] > 0 for ts in result["runs"].values() for t in ts)
