@@ -47,7 +47,6 @@ from .vad import (
     detect,
     detect_prefiltered,
     estimate_noise_floor_db,
-    frame_energies,
     frame_energy_db,
     frame_signal,
     merge_intervals,
@@ -75,7 +74,6 @@ __all__ = [
     "detect_prefiltered",
     "estimate_noise_floor_db",
     "evaluate_clips",
-    "frame_energies",
     "frame_energy_db",
     "frame_signal",
     "frequency_response",

@@ -40,8 +40,7 @@ builds its own plan: at 1024 the plan costs more than halving the row loop
 saves on a minute of audio.
 `sos_plan` builds each pair's matrices once; `sos_passes` runs the
 products, the row loop and the scan with them, one pass of PASS samples at a
-time through the fixed arrays of a `PassBuffers`, and `sos_filter` gathers
-the passes into one array.
+time through the fixed arrays of a `PassBuffers`.
 
 The resampler is a banded matrix product (Crochiere & Rabiner, Multirate
 Digital Signal Processing, 1983). Outputs j*up ... j*up+up-1 form row j.
@@ -219,14 +218,6 @@ def sos_passes(plan, x, buffers: PassBuffers):
         for i, pair in enumerate(plan):
             carried[i] = _pair_rows(pair, group, products, carried[i])
         yield flat[:m]
-
-
-def sos_filter(plan, x) -> np.ndarray:
-    """The whole output of `sos_passes`, as one array."""
-    out = np.empty(x.shape[0])
-    for p0, y in zip(range(0, x.shape[0], PASS), sos_passes(plan, x, PassBuffers())):
-        out[p0 : p0 + y.shape[0]] = y
-    return out
 
 
 def _pair_rows(pair, x, spare, state):

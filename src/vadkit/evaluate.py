@@ -203,7 +203,7 @@ def _group_counts(group, configs, thresholds_db) -> list[np.ndarray]:
     for j, config in enumerate(configs):
         windows = [clip_windows[j] for clip_windows, _ in group]
         frames = [window.frames for window in windows]
-        energies, floors = energies_db(np.concatenate([p for window in windows for p in window.powers]), config, frames)
+        energies, floors = energies_db(np.concatenate([window.powers for window in windows]), config, frames)
         keys = np.repeat(np.arange(len(group)) * width, frames)
         keys += np.searchsorted(levels, energies - np.repeat(floors, frames), "right")
         everything = _at_least(keys, len(group), width)
@@ -237,6 +237,8 @@ def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int =
     ordered by the input clip list regardless of job count. The aggregate
     sums the per-clip counts, as `sweep` does.
     """
+    if not clips:
+        raise VadKitError("evaluation needs at least one clip")
     counts = _counts_per_clip(clips, cascade, [config], [config.snr_threshold_db], jobs)  # per clip: (1, 4, 1)
     aggregate, *reports = [EvalReport.from_counts(*c[0, :, 0].tolist(), config) for c in [sum(counts), *counts]]
     return aggregate, list(zip(clips, reports))
@@ -252,10 +254,12 @@ def sweep(
 ) -> SweepResult:
     """Grid search over window length and SNR threshold.
 
-    Every grid value is checked first. The clips are then scored by
-    `_chunk_counts` (over `jobs` processes), which takes frame energies
-    once per clip and window and scores every threshold from them. Best
-    point maximizes F1, ties broken by lower threshold, then shorter window.
+    Each grid point is base_config with its window and threshold, and is
+    checked first: a hop longer than a grid window fails as that point. The
+    clips are then scored by `_chunk_counts` (over `jobs` processes), which
+    takes frame energies once per clip and window and scores every threshold
+    from them. Best point maximizes F1, ties broken by lower threshold, then
+    shorter window.
     """
     windows_s = [float(w) for w in windows_s]
     thresholds_db = [float(t) for t in thresholds_db]
@@ -263,9 +267,8 @@ def sweep(
         raise SweepFailure("sweep needs at least one clip, window, and threshold")
     points = []
     for window_s, threshold_db in itertools.product(windows_s, thresholds_db):
-        values = {"window_length_s": window_s, "snr_threshold_db": threshold_db, "hop_length_s": None}
         try:
-            points.append(dataclasses.replace(base_config, **values))
+            points.append(dataclasses.replace(base_config, window_length_s=window_s, snr_threshold_db=threshold_db))
         except VadKitError as exc:
             raise SweepFailure(f"grid point (window={window_s}, threshold={threshold_db}): {exc}") from exc
     windows = points[:: len(thresholds_db)]

@@ -193,8 +193,11 @@ def filter_passes(cascade: BiquadCascade, buffer: AudioBuffer, buffers: _kernels
 
 def apply_cascade(cascade: BiquadCascade, buffer: AudioBuffer) -> AudioBuffer:
     """Run the cascade causally (zero initial state) over a buffer: the passes of `filter_passes` in one array."""
-    _check_rate(cascade, buffer)
-    return AudioBuffer(_kernels.sos_filter(cascade.plan, buffer.samples), buffer.sample_rate_hz)
+    passes = filter_passes(cascade, buffer, _kernels.PassBuffers())
+    out = np.empty(len(buffer))
+    for p0, y in zip(range(0, len(buffer), _kernels.PASS), passes):
+        out[p0 : p0 + y.shape[0]] = y
+    return AudioBuffer(out, buffer.sample_rate_hz)
 
 
 def cascade_to_dict(cascade: BiquadCascade) -> dict:

@@ -4,6 +4,9 @@ A clip is cut into fixed windows, each window gets a log energy, the noise
 floor is a low quantile of those energies, and a frame counts as speech when
 its energy clears the floor by the configured SNR margin. Adjacent speech
 frames merge into intervals.
+
+One body, `_detect`, runs these steps over a clip in passes of at most PASS
+samples: the bandpass filter's passes, or slices of a buffer filtered already.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ class WindowEnergies:
         self.frames = -(-n // self.hop)
         self.reach = (self.frames - 1) * self.hop + self.win  # where the padded last frame ends
         self.done = 0  # frames reduced so far; the next starts at done * hop
-        self.powers = []
+        self.powers = np.empty(self.frames)  # mean squares, filled by take
 
     def take(self, squares: np.ndarray, start: int, end: int) -> None:
         """Reduce the frames not yet taken that end by end; squares[i] is the square of sample start + i.
@@ -152,12 +155,13 @@ class WindowEnergies:
         if count > 0:
             first = self.done * self.hop - start
             rows = _windows(squares[first : first + (count - 1) * self.hop + self.win], self.win, self.hop)
-            self.powers.append(np.add.reduce(rows, axis=1) / self.win)
+            powers = np.add.reduce(rows, axis=1, out=self.powers[self.done : self.done + count])
+            powers /= self.win
             self.done += count
 
     def energies(self) -> tuple[np.ndarray, float]:
         """Frame energies and the noise floor, both in dB, once every frame is taken; SNR is their difference."""
-        energies, (floor_db,) = energies_db(np.concatenate(self.powers), self.config, [self.frames])
+        energies, (floor_db,) = energies_db(self.powers, self.config, [self.frames])
         return energies, floor_db
 
 
@@ -200,53 +204,35 @@ def feed_squares(passes, windows, squares: np.ndarray) -> None:
         held = keep
 
 
-def frame_energies(buffer: AudioBuffer, config: VadConfig) -> tuple[np.ndarray, float]:
-    """Frame energies and the noise floor, both in dB, of a bandpassed buffer; SNR is their difference.
-
-    `feed_squares` of the buffer in slices of PASS samples; given no room, it makes the squares the window needs.
-    """
+def _detect(passes, buffer: AudioBuffer, config: VadConfig, squares: np.ndarray) -> VadResult:
+    """One window's `WindowEnergies` of a bandpassed buffer, fed its passes by `feed_squares` (through squares)
+    and built before the first pass is taken; then its frame SNRs thresholded and speech runs merged."""
     window = WindowEnergies(config, buffer.sample_rate_hz, len(buffer))
-    feed_squares((buffer.samples[p0 : p0 + PASS] for p0 in range(0, len(buffer), PASS)), [window], np.empty(0))
-    return window.energies()
-
-
-def _decide(energies: np.ndarray, floor_db: float, config: VadConfig) -> VadResult:
-    """Threshold the frame SNRs and merge speech runs."""
+    feed_squares(passes, [window], squares)
+    energies, floor_db = window.energies()
     index = np.arange(len(energies))
     snr = energies - floor_db
     records = np.rec.fromarrays(
-        [index, index * config.hop_s, energies, snr, snr >= config.snr_threshold_db],
-        dtype=FRAME_DTYPE,
+        [index, index * config.hop_s, energies, snr, snr >= config.snr_threshold_db], dtype=FRAME_DTYPE
     )
-    return VadResult(
-        frames=records,
-        intervals=merge_intervals(records, config),
-        noise_power_db=floor_db,
-        config=config,
-    )
+    return VadResult(records, merge_intervals(records, config), floor_db, config)
 
 
 def detect_prefiltered(buffer: AudioBuffer, config: VadConfig) -> VadResult:
-    """Threshold the frame SNRs of `frame_energies` and merge speech runs.
-
-    The buffer is taken as already bandpassed; `detect` is the entry point
-    that includes the filter stage.
-    """
-    return _decide(*frame_energies(buffer, config), config)
+    """`_detect` of a buffer taken as already bandpassed, in slices of PASS samples; `feed_squares` makes the
+    squares array. `detect` is the entry point that includes the filter stage."""
+    return _detect((buffer.samples[p0 : p0 + PASS] for p0 in range(0, len(buffer), PASS)), buffer, config, np.empty(0))
 
 
 def detect(buffer: AudioBuffer, cascade: BiquadCascade, config: VadConfig) -> VadResult:
-    """Full pipeline: bandpass the buffer pass by pass, square each pass once, then classify frames.
+    """Full pipeline: `_detect` of the passes of `filter_passes`, squared into the same `PassBuffers`.
 
     No array holds the filtered signal or its squares.
     """
     if len(buffer) == 0:
         raise EmptySignal("cannot run detection on an empty signal")
     buffers = PassBuffers()
-    passes = filter_passes(cascade, buffer, buffers)
-    window = WindowEnergies(config, buffer.sample_rate_hz, len(buffer))
-    feed_squares(passes, [window], buffers.squares)
-    return _decide(*window.energies(), config)
+    return _detect(filter_passes(cascade, buffer, buffers), buffer, config, buffers.squares)
 
 
 def config_to_dict(config: VadConfig) -> dict:

@@ -24,7 +24,7 @@ from vadkit import (
     score,
     sweep,
 )
-from vadkit.errors import LabelOutOfRange, SweepFailure
+from vadkit.errors import LabelOutOfRange, SweepFailure, VadKitError
 from vadkit._kernels import PASS, PassBuffers
 from vadkit.audio_io import AudioBuffer, write_wav
 from vadkit.evaluate import _chunk_counts, sweep_to_csv
@@ -229,6 +229,30 @@ def test_sweep_matches_per_threshold_evaluation(corpus_dir):
         config = VadConfig(window_length_s=point.window_s, snr_threshold_db=point.threshold_db)
         aggregate, _ = evaluate_clips(clips[:5], cascade, config)
         assert point.report == aggregate, (point.window_s, point.threshold_db)
+
+
+def test_sweep_frames_each_window_at_the_base_hop(corpus_dir):
+    """With a hop below every grid window, each grid point scores as an evaluation at its config does."""
+    clips, cascade = _sweep_fixture(corpus_dir)
+    base = VadConfig(hop_length_s=0.01)
+    result = sweep(clips[:5], [0.05, 0.02], [12.0, 0.0, 6.0], cascade, base_config=base)
+    for point in result.grid:
+        config = VadConfig(window_length_s=point.window_s, snr_threshold_db=point.threshold_db, hop_length_s=0.01)
+        assert point.report.config == config
+        aggregate, _ = evaluate_clips(clips[:5], cascade, config)
+        assert point.report == aggregate, (point.window_s, point.threshold_db)
+
+
+def test_sweep_refuses_a_hop_over_a_grid_window_before_reading_a_clip(tmp_path):
+    cascade = design_butterworth_bandpass(FilterSpec())
+    missing = LabeledClip(audio_path=str(tmp_path / "missing.wav"), speech_intervals=())
+    with pytest.raises(SweepFailure, match=r"grid point \(window=0.02, threshold=12.0\): hop must satisfy"):
+        sweep([missing], [0.31, 0.02], [12.0], cascade, base_config=VadConfig(hop_length_s=0.05))
+
+
+def test_evaluate_clips_refuses_no_clips():
+    with pytest.raises(VadKitError, match="evaluation needs at least one clip"):
+        evaluate_clips([], design_butterworth_bandpass(FilterSpec()), VadConfig())
 
 
 def test_sweep_rejects_empty_grid(corpus_dir):

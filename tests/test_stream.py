@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from vadkit import AudioBuffer, FilterSpec, VadConfig, _kernels, design_butterworth_bandpass
 from vadkit.filters import apply_cascade, filter_passes
-from vadkit.vad import WindowEnergies, detect, detect_prefiltered, feed_squares, frame_energies
+from vadkit.vad import WindowEnergies, detect, detect_prefiltered, feed_squares
 
 ROW, PASS = _kernels.ROW, _kernels.PASS
 
@@ -44,6 +44,16 @@ def test_filter_passes_equal_the_whole_signal_filtered_in_place(n):
     whole = _whole_array_filter(cascade.plan, x)
     assert np.concatenate(passes).tobytes() == whole.tobytes()
     assert apply_cascade(cascade, AudioBuffer(x, 16000)).samples.tobytes() == whole.tobytes()
+
+
+def _whole_clip_energies(samples, config):
+    """The energies and floor of one window at 16 kHz, taken from one squares array of the whole clip, zero
+    padded to the last frame's end: the one-block case."""
+    window = WindowEnergies(config, 16000, samples.shape[0])
+    squares = np.zeros(window.reach)
+    np.square(samples, out=squares[: samples.shape[0]])
+    window.take(squares, 0, window.reach)
+    return window.energies()
 
 
 def _passes(samples, sizes):
@@ -79,7 +89,7 @@ def test_energies_from_any_passes_equal_the_one_block_case(n, windows, sizes, se
     feed_squares(_passes(samples, sizes), stages, _kernels.PassBuffers().squares)
     for config, stage in zip(configs, stages):
         energies, floor_db = stage.energies()
-        want, want_floor = frame_energies(AudioBuffer(samples, rate), config)
+        want, want_floor = _whole_clip_energies(samples, config)
         assert energies.tobytes() == want.tobytes()
         assert floor_db == want_floor
 
@@ -112,18 +122,9 @@ def test_a_second_clip_reuses_the_same_buffers():
         feed_squares(filter_passes(cascade, clip, buffers), [window], buffers.squares)
         arrays.append((buffers.rows, buffers.products, buffers.squares))
         energies, floor_db = window.energies()
-        want, want_floor = frame_energies(apply_cascade(cascade, clip), config)
+        want, want_floor = _whole_clip_energies(apply_cascade(cascade, clip).samples, config)
         assert (energies.tobytes(), floor_db) == (want.tobytes(), want_floor)
     assert all(a is b for a, b in zip(*arrays))
-
-
-def _whole_clip_energies(samples, config):
-    """frame_energies as one squares array of the whole clip, zero padded to the last frame's end, gives them."""
-    window = WindowEnergies(config, 16000, samples.shape[0])
-    squares = np.zeros(window.reach)
-    np.square(samples, out=squares[: samples.shape[0]])
-    window.take(squares, 0, window.reach)
-    return window.energies()
 
 
 @pytest.mark.parametrize("window_s, limit", [(0.31, 4e6), (5.0, 6e6), (0.02, 1.6e6), (5.0, 2.2e6)])
@@ -134,10 +135,11 @@ def test_frame_energies_of_a_minute_hold_no_whole_clip_array(window_s, limit):
     (1 MB) took it to 2.85 MB."""
     config = VadConfig(window_length_s=window_s)
     samples = np.random.default_rng(60).standard_normal(60 * 16000)
-    buffer = AudioBuffer(samples, 16000)
     tracemalloc.start()
     try:
-        energies, floor_db = frame_energies(buffer, config)
+        window = WindowEnergies(config, 16000, samples.shape[0])
+        feed_squares((samples[p0 : p0 + PASS] for p0 in range(0, samples.shape[0], PASS)), [window], np.empty(0))
+        energies, floor_db = window.energies()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

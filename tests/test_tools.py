@@ -130,9 +130,18 @@ def test_bench_lockstep_summary_of_synthetic_ratios():
     assert shifted["ci95"][1] < 0.92
 
 
+def test_bench_lockstep_block_medians_of_synthetic_ratios():
+    drift = [1.0 + 0.01 * (i // 20) + (-1) ** i * 0.005 * (i % 5) for i in range(45)]  # +1% every 20 ops
+    # Blocks of 20, 20 and 5 ops.
+    assert [round(m, 6) for m in bench_lockstep.block_medians(drift)] == [1.0, 1.01, 1.02]
+    assert bench_lockstep.block_medians([0.5, 0.7, 0.9], size=2) == [0.6, 0.9]
+    assert bench_lockstep.block_medians([]) == []
+
+
 def test_bench_lockstep_runs_a_tree_against_itself(tmp_path):
     root = str(Path(__file__).resolve().parent.parent)
     result = bench_lockstep.run(root, root, "sweep-corpus", 2, 3, str(tmp_path))
     assert [len(result["runs"][side]) for side in ("parent", "change")] == [2, 2]
     assert result["ratios"]["cpu_s"]["n"] == result["ratios"]["wall_s"]["n"] == 2
+    assert all(len(figures["block_medians"]) == 1 for figures in result["ratios"].values())
     assert all(t["cpu_s"] > 0 and t["wall_s"] > 0 for ts in result["runs"].values() for t in ts)

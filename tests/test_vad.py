@@ -15,7 +15,6 @@ from vadkit import (
     detect,
     detect_prefiltered,
     estimate_noise_floor_db,
-    frame_energies,
     frame_energy_db,
     frame_signal,
     merge_intervals,
@@ -136,7 +135,8 @@ def test_frame_energies_match_the_loop_reference_bit_for_bit(n, rate, win, hop_s
     hop = None if hop_share is None else max(1, round(hop_share * win))
     config = VadConfig(window_length_s=win / rate, hop_length_s=None if hop is None else hop / rate)
     samples = scale * np.random.default_rng(seed).standard_normal(n)
-    energies, floor_db = frame_energies(AudioBuffer(samples, rate), config)
+    result = detect_prefiltered(AudioBuffer(samples, rate), config)
+    energies, floor_db = result.frames.energy_db, result.noise_power_db
     frames = naive_frames(samples, rate, config.window_length_s, config.hop_s)
     expected = [naive_energy_db(frame, config.energy_floor) for frame in frames]
     assert energies.tolist() == expected

@@ -110,8 +110,8 @@ COMMANDS = [
     # crosses blocks of the table writer.
     ("detect-pcm24-w20-h1", ["detect", _PCM24, "--out", "detect_pcm24_h1.json", "--frames-csv", "detect_pcm24_h1.csv",
                              "--window", "0.02", "--hop", "0.001", "--threshold", "12"]),
-    # Unsorted thresholds with a duplicate and 0.0, which the floor frame's SNR equals; the grid keeps
-    # a hop of one window, so the --hop below it shows only in the effective config.
+    # Unsorted thresholds with a duplicate and 0.0, which the floor frame's SNR equals; each grid
+    # window is framed at the --hop below it, as eval frames it.
     ("sweep-unsorted-thresholds", ["sweep", "--manifest", _MANIFEST, "--windows", "0.05,0.02",
                                    "--thresholds", "12,0,6,12", "--hop", "0.01",
                                    "--out", "sweep_unsorted.json", "--csv", "sweep_unsorted.csv"]),

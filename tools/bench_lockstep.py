@@ -16,9 +16,11 @@ pair, in the other order, until OPS ops a side have run.
 
 For CPU time (the worker's process time) and wall time, it reports the
 median of the per-op ratios change / parent, their quartiles (linear
-interpolation) and a 95% bootstrap interval of the median (2,000
-resamples, seeded). A ratio below 1 means the change is faster. --json
-writes the same figures, with every op's times, to PATH.
+interpolation), a 95% bootstrap interval of the median (2,000 resamples,
+seeded) and the median of each run of BLOCK_MEDIAN_OPS consecutive ops, whose
+spread shows drift that the interval alone hides. A ratio below 1 means the
+change is faster. --json writes the same figures, with every op's times, to
+PATH.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ RESAMPLES = 2000
 # change's first in odd ones: with one pair for the whole run on a 2-core host, the worker started second ran
 # detect-long 1-3% slower whichever tree it held (a tree against itself read 1.010-1.028 over 200 ops).
 BLOCK_OPS = 50
+BLOCK_MEDIAN_OPS = 20  # ops per block median; the last block holds the rest
 
 
 def summarize(ratios: list[float], resamples: int = RESAMPLES, seed: int = 0) -> dict:
@@ -59,6 +62,11 @@ def summarize(ratios: list[float], resamples: int = RESAMPLES, seed: int = 0) ->
         "ci95": [_percentile(medians, 0.025), _percentile(medians, 0.975)],
         "n": len(ordered),
     }
+
+
+def block_medians(ratios: list[float], size: int = BLOCK_MEDIAN_OPS) -> list[float]:
+    """The median of each run of size consecutive ratios, in op order; the last run may be shorter."""
+    return [statistics.median(ratios[i : i + size]) for i in range(0, len(ratios), size)]
 
 
 def worker(checkout: str, workdir: str, workload_name: str, seed: int) -> int:
@@ -142,10 +150,10 @@ def run(parent: str, change: str, workload: str, ops: int, seed: int, scratch: s
             for name, side in sides.items():
                 side.close()
                 shutil.rmtree(os.path.join(scratch, f"{name}-{block}"), ignore_errors=True)
-    figures = {
-        key: summarize([c[key] / p[key] for p, c in zip(times["parent"], times["change"])])
-        for key in ("cpu_s", "wall_s")
-    }
+    figures = {}
+    for key in ("cpu_s", "wall_s"):
+        ratios = [c[key] / p[key] for p, c in zip(times["parent"], times["change"])]
+        figures[key] = {**summarize(ratios), "block_medians": block_medians(ratios)}
     return {"workload": workload, "ops": ops, "seed": seed, "ratios": figures,
             "runs": {name: [{k: t[k] for k in ("cpu_s", "wall_s")} for t in ts] for name, ts in times.items()}}
 
@@ -179,7 +187,8 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {args.ops} ops a side in lockstep, seed {args.seed}; change / parent per op")
     for key, f in result["ratios"].items():
         low, high = f["ci95"]
-        print(f"{key:6s} median {f['median']:.4f}  IQR [{f['q1']:.4f}, {f['q3']:.4f}]  95% CI [{low:.4f}, {high:.4f}]")
+        print(f"{key:6s} median {f['median']:.4f}  IQR [{f['q1']:.4f}, {f['q3']:.4f}]  95% CI [{low:.4f}, {high:.4f}]  "
+              f"{BLOCK_MEDIAN_OPS}-op block medians {min(f['block_medians']):.4f} to {max(f['block_medians']):.4f}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(result, fh, indent=1)
