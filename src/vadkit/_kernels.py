@@ -47,9 +47,17 @@ Digital Signal Processing, 1983). Outputs j*up ... j*up+up-1 form row j.
 They all read one window of input that starts `down` samples after the
 window of row j-1. Row j of the output is that window times a matrix that
 holds each phase's taps at that phase's offset in the window. The columns
-of a row are split into groups narrow enough that each group's window is no
-wider than `down`: the windows of successive rows then do not overlap, and
-BLAS reads them in place from the input instead of from a gathered copy.
+of a row are split into groups of at most 16, and a product runs at most
+512 rows of one group: products of that size run as BLAS kernels without
+packing, about twice as fast as 64 columns by 1024 rows. When up is below
+the group width (48 -> 16 kHz has up = 1), a row holds several whole
+periods instead: up * periods outputs from a window that steps
+down * periods samples, with the phase table repeated periods times, so
+that every common pair runs products of the same shape. A group's window
+that is no wider than its step is read in place from the input; where the
+windows overlap, each product copies them into one contiguous array first,
+as BLAS cannot read overlapping rows and numpy's own loop is several times
+slower.
 """
 
 import functools
@@ -68,24 +76,27 @@ _STATES = 4  # states of a fused pair of sections
 # and 6% less than in passes of 64 rows.
 _CASCADE_ROWS = 128
 PASS = _CASCADE_ROWS * ROW  # samples per filter pass
-# Output columns per resampler product, at most. Widths of 32 to 80 took the
-# same time on 60 s of 44.1 -> 16 kHz; wider groups multiply more zeros.
-_GROUP_COLUMNS = 64
-_CHUNK_ROWS = 1024  # windows per resampler product, at most
+# Output columns per resampler product, at most, and fewer where a group's
+# matrix would be mostly zeros: a group takes at most 1 + taps * up // down
+# columns, so its matrix holds at most twice the taps' rows. Where up is
+# below this, a row holds whole periods up to it (see the module docstring).
+_GROUP_COLUMNS = 16
+_CHUNK_ROWS = 512  # windows per resampler product, at most
 # Input samples a product's rows step over, at most: rows per product are
 # max(1, _CHUNK_SPAN // down), capped at _CHUNK_ROWS, so that each product,
 # and the fill window, holds a bounded span however large down is. Every
-# pair up to down = 441 (44.1 -> 16 kHz) keeps its 1024 rows.
-_CHUNK_SPAN = _CHUNK_ROWS * 441
+# pair up to down = 882 keeps its 512 rows.
+_CHUNK_SPAN = 1024 * 441
 # Samples a fill input's window holds beyond the longest span, so that it moves
 # what it keeps to its start about once per this many samples read, not once per product.
 _WINDOW_SLACK = 1 << 16
-# Bound on (group - 1) * down, which the group matrices hold beyond the taps (44.1 -> 16 kHz: 63 x 441).
+# Bound on (group - 1) * down, which the group matrices hold beyond the taps (44.1 -> 16 kHz: 15 x 441).
 _BAND_LIMIT = 2**20
-# Group matrices held at once, the most recently used. Every pair up to
-# up = 640 (11.025 -> 16 kHz) keeps all of its; where up is huge a matrix is
-# built again for each of its products instead of holding up / group of them.
-_BANDS_HELD = 16
+# Bytes of group matrices a call holds. A call whose matrices fit holds all
+# of them (11.025 -> 16 kHz: 40 groups, 380 KB); one whose matrices do not
+# (up in the thousands) builds each product's matrix afresh, as its products
+# visit the groups in turn and a partial cache would miss every time.
+_BANDS_BYTES = 1 << 22
 # A section that passes its input through with no state, paired with an odd last section.
 _PASS_THROUGH = ((1.0, 0.0, 0.0), (0.0, 0.0))
 
@@ -266,12 +277,10 @@ def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
 
     The +TAPS/2 bias keeps the output aligned with the input timeline.
     Output n = j*up + c reads the taps samples of x that start at
-    first + j*down + c*down // up. Each group of columns has its own window
-    and matrix, and writes its products straight into the output. Only the
-    few rows whose window crosses an end of x read a zero-extended copy.
-    When down < taps no window fits in down samples; a group is then the
-    whole row, and each product copies its windows. A down so large that
-    the mostly-zero matrices would pass _BAND_LIMIT narrows the groups.
+    first + j*down + c*down // up. Rows and groups are as `_layout` gives
+    them. Each group of columns has its own window and matrix, and writes
+    its products straight into the output. Only the few rows whose window
+    crosses an end of x read a zero-extended copy.
 
     Every group's products run in order of the input they end at, so the
     input they read is held once: a fill input goes into one store as long
@@ -280,14 +289,15 @@ def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
     """
     n = x.shape[0] if n_in is None else n_in
     taps = phase_taps.shape[1]
+    periods, group, chunk = _layout(up, down, taps)
+    if periods > 1:
+        phase_taps = np.repeat(phase_taps, periods, axis=0)
+        up, down = up * periods, down * periods
     first = taps // 2 - (taps - 1)  # the first windows start before x
     rows = -(-n_out // up)
     y = np.empty((rows, up))
-    fits = (down - taps) * up // down + 1  # the most columns whose window spans at most down samples
-    group = min(up, _GROUP_COLUMNS, fits, 1 + _BAND_LIMIT // down) if fits > 0 else up
     k = np.arange(taps)[:, None]
 
-    @functools.lru_cache(maxsize=_BANDS_HELD)
     def band(c0):
         """The matrix of the group of columns from c0."""
         cols = np.arange(c0, min(up, c0 + group), dtype=np.int64)
@@ -296,11 +306,12 @@ def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
         matrix[lead - lead[0] + (taps - 1) - k, np.arange(cols.size)] = phase_taps[cols * down % up].T
         return matrix
 
-    chunk = min(_CHUNK_ROWS, max(1, _CHUNK_SPAN // down))
     products = []  # (input end, input start, first column, rows, columns)
+    held = 0  # bytes of every group matrix
     for c0 in range(0, up, group):
         c1 = min(up, c0 + group)
         width = (c1 - 1) * down // up - c0 * down // up + taps
+        held += width * (c1 - c0) * 8
         offset = first + c0 * down // up
         lo = min(rows, max(0, -(offset // down)))  # rows before lo start left of x
         hi = max(lo, min(rows, (n - width - offset) // down + 1))  # rows from hi end right of it
@@ -311,13 +322,32 @@ def polyphase_filter(x, phase_taps, up, down, n_out, n_in=None):
                 end = start + (j1 - j0 - 1) * down + width
                 products.append((end, start, c0, slice(j0, j1), slice(c0, c1)))
     products.sort(key=lambda product: product[0])
+    band = functools.lru_cache(maxsize=None if held <= _BANDS_BYTES else 0)(band)
     window = _InputWindow(x, n, max((min(end, n) - max(start, 0) for end, start, *_ in products), default=0))
     for end, start, c0, j, c in products:
         matrix = band(c0)
-        seg = window.span(start, end)
-        np.matmul(_windows(seg, matrix.shape[0], down), matrix, out=y[j, c])
+        windows = _windows(window.span(start, end), matrix.shape[0], down)
+        if matrix.shape[0] > down:  # overlapping rows, which BLAS cannot read in place
+            windows = windows.copy()
+        np.matmul(windows, matrix, out=y[j, c])
     window.drain()
     return y.reshape(-1)[:n_out]
+
+
+def _layout(up, down, taps):
+    """(periods, group, chunk) of the resampler: whole periods per row, output columns per group, rows per product.
+
+    A group takes at most _GROUP_COLUMNS columns, and at most
+    1 + taps * up // down, so that at least half of its matrix is taps. A
+    row holds as many whole periods as fit in that width, and one period
+    when up alone fills it. A down so large that (group - 1) * down would
+    pass _BAND_LIMIT narrows the groups.
+    """
+    widest = min(_GROUP_COLUMNS, 1 + taps * up // down)
+    periods = max(1, widest // up)
+    group = min(up * periods, widest, 1 + _BAND_LIMIT // (down * periods))
+    chunk = min(_CHUNK_ROWS, max(1, _CHUNK_SPAN // (down * periods)))
+    return periods, group, chunk
 
 
 def _windows(seg, width, step):

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__, repro
-from .artifacts import field_dict, read_json, write_json, write_table
+from .artifacts import read_json, write_json, write_table
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .config import CliConfig, load_config, value_type
 from .corpus import corpus_files, generate_corpus, labels_sidecar_path
@@ -224,10 +224,10 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 def _grid_dicts(points) -> list[dict]:
     """Each grid point's fields, its report's and its config's, for points of one sweep, whose configs differ
-    only in window and threshold: each window's config dict is built once and copied with each threshold."""
+    only in window and threshold. A record's vars hold its fields in declaration order, as its __init__ sets them."""
     configs = {p.report.config.window_length_s: p.report.config for p in points}
     configs = {window: config_to_dict(config) for window, config in configs.items()}
-    return [field_dict(p, report=field_dict(p.report, config=dict(
+    return [dict(vars(p), report=dict(vars(p.report), config=dict(
         configs[p.report.config.window_length_s], snr_threshold_db=p.report.config.snr_threshold_db))) for p in points]
 
 

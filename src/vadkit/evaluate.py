@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,22 +87,28 @@ class SweepResult:
     best: GridPoint
 
 
-def truth_frame_flags(starts: np.ndarray, window: float, clip: LabeledClip) -> np.ndarray:
-    """Boolean ground truth per frame (start times in s, window in s) via the half-overlap rule."""
-    clip_end = float(starts[-1]) + window if len(starts) else 0.0
+def truth_frame_flags(starts: np.ndarray, window, clip: LabeledClip) -> np.ndarray:
+    """Boolean ground truth per frame (start times in s; window in s, or one per frame) via the half-overlap rule."""
     ends = starts + window
     covered = np.zeros(len(starts))
+    for start, end in clip.speech_intervals:
+        covered += np.maximum(0.0, np.minimum(ends, end) - np.maximum(starts, start))
+    return covered >= 0.5 * window
+
+
+def _check_labels(clip: LabeledClip, clip_end: float, window: float) -> None:
+    """LabelOutOfRange for an interval that ends more than a window past clip_end, the end of the last frame."""
     for start, end in clip.speech_intervals:
         if end > clip_end + window:
             raise LabelOutOfRange(
                 f"interval ({start}, {end}) runs past the clip end ({clip_end:.3f} s) in {clip.audio_path}"
             )
-        covered += np.maximum(0.0, np.minimum(ends, end) - np.maximum(starts, start))
-    return covered >= 0.5 * window
 
 
 def score(result: VadResult, clip: LabeledClip) -> EvalReport:
-    truth = truth_frame_flags(result.frames.start_s, result.config.window_length_s, clip)
+    starts, window = result.frames.start_s, result.config.window_length_s
+    _check_labels(clip, float(starts[-1]) + window if len(starts) else 0.0, window)
+    truth = truth_frame_flags(starts, window, clip)
     predicted = result.frames.is_speech
     tp, flagged, speech = (int(np.sum(flags)) for flags in (predicted & truth, predicted, truth))
     return EvalReport.from_counts(tp, flagged - tp, truth.size - flagged - speech + tp, speech - tp, result.config)
@@ -167,26 +172,29 @@ def _chunk_counts(clips, cascade: BiquadCascade, configs, thresholds_db) -> list
     Each clip is read once, filtered pass by pass through one `PassBuffers`
     and squared once per pass; every config's window takes its frames from
     those squares. The checks that need no samples run first and name the
-    clip and the window. Clips gather in groups of at most PASS frames over
-    all windows (a longer clip alone), which `_group_counts` scores.
+    clip and the window; one call then flags the truth of every window's
+    frames. Clips gather in groups of at most PASS frames over all windows
+    (a longer clip alone), which `_group_counts` scores.
     """
     buffers = PassBuffers()
     counts, group, held = [], [], 0
     for clip in clips:
         buffer = read_wav(clip.audio_path, cascade.spec.sample_rate_hz)[0]
-        windows, truths = [], []
+        windows = []
         for config in configs:  # every check that needs no samples, in config order
             with _naming(clip, config):
                 windows.append(WindowEnergies(config, buffer.sample_rate_hz, len(buffer)))
-                starts = np.arange(windows[-1].frames) * config.hop_s
-                truths.append(truth_frame_flags(starts, config.window_length_s, clip))
-        frames = sum(window.frames for window in windows)
-        if group and held + frames > PASS:
+                clip_end = (windows[-1].frames - 1) * config.hop_s + config.window_length_s
+                _check_labels(clip, clip_end, config.window_length_s)
+        frames = [window.frames for window in windows]
+        starts = np.concatenate([np.arange(window.frames) * window.config.hop_s for window in windows])
+        truth = truth_frame_flags(starts, np.repeat([config.window_length_s for config in configs], frames), clip)
+        if group and held + sum(frames) > PASS:
             counts += _group_counts(group, configs, thresholds_db)
             group, held = [], 0
         feed_squares(filter_passes(cascade, buffer, buffers), windows, buffers.squares)
-        group.append((windows, truths))
-        held += frames
+        group.append((windows, np.split(truth, np.cumsum(frames[:-1]))))
+        held += sum(frames)
     return counts + _group_counts(group, configs, thresholds_db) if group else counts
 
 
@@ -265,13 +273,15 @@ def sweep(
     thresholds_db = [float(t) for t in thresholds_db]
     if not clips or not windows_s or not thresholds_db:
         raise SweepFailure("sweep needs at least one clip, window, and threshold")
-    points = []
-    for window_s, threshold_db in itertools.product(windows_s, thresholds_db):
+    # VadConfig checks a window apart from a threshold, so the first row and column hold the first failing point.
+    checked, first_row = [], [(windows_s[0], t) for t in thresholds_db]
+    for window_s, threshold_db in first_row + [(w, thresholds_db[0]) for w in windows_s[1:]]:
         try:
-            points.append(dataclasses.replace(base_config, window_length_s=window_s, snr_threshold_db=threshold_db))
+            checked.append(dataclasses.replace(base_config, window_length_s=window_s, snr_threshold_db=threshold_db))
         except VadKitError as exc:
             raise SweepFailure(f"grid point (window={window_s}, threshold={threshold_db}): {exc}") from exc
-    windows = points[:: len(thresholds_db)]
+    windows = checked[:1] + checked[len(thresholds_db) :]
+    points = [_copy(config, snr_threshold_db=threshold_db) for config in windows for threshold_db in thresholds_db]
     counts = sum(_counts_per_clip(clips, cascade, windows, thresholds_db, jobs))  # (window, 4, threshold)
     grid = tuple(
         GridPoint(config.window_length_s, config.snr_threshold_db, EvalReport.from_counts(*point_counts, config))
@@ -279,6 +289,13 @@ def sweep(
     )
     best = min(grid, key=lambda g: (-g.report.f1, g.threshold_db, g.window_s))
     return SweepResult(grid=grid, best=best)
+
+
+def _copy(record, **changes):
+    """A frozen dataclass record with changes to fields whose values it has already checked; no check runs."""
+    copy = object.__new__(type(record))
+    vars(copy).update(vars(record), **changes)
+    return copy
 
 
 def report_to_dict(report: EvalReport) -> dict:

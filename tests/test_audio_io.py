@@ -518,8 +518,9 @@ def test_blocked_read_equals_resample_of_the_read(tmp_path, source, target, kind
     filter; it must equal resample(read_wav(path)[0], rate) bit for bit at
     lengths around the tap count, the decoder block and one product's span
     of input, for 1, 2, 3 and 10 channels."""
-    down = source // math.gcd(source, target)
-    block, span, taps = audio_io._BLOCK_FRAMES, _kernels._CHUNK_ROWS * down, _kernels.RESAMPLER_TAPS
+    up, down = target // math.gcd(source, target), source // math.gcd(source, target)
+    periods, _, chunk = _kernels._layout(up, down, _kernels.RESAMPLER_TAPS)
+    block, span, taps = audio_io._BLOCK_FRAMES, chunk * periods * down, _kernels.RESAMPLER_TAPS
     shift = _BLOCKED_FORMATS.index(kind)
     cases = [(n, (1, 2, 3, 10)[(i + shift) % 4]) for i, n in enumerate((0, 1, taps - 1, block - 1, block, block + 1))]
     cases += [(span - 1, 2), (span + 1, 1)]
@@ -555,7 +556,7 @@ def test_blocked_read_fault_in_a_later_block_exits_2(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("seconds", (10, 30))
 def test_blocked_read_holds_one_product_span_of_input(tmp_path, seconds):
     """Peak traced memory of reading 44.1 kHz stereo at 16 kHz: the output,
-    one product's span of input (1024 rows of 441 samples), one block of
+    one product's span of input (512 rows of 441 samples), one block of
     both channels as float64 and a constant, the same at both lengths."""
     n = seconds * 44100
     data = np.random.default_rng(seconds).integers(-32768, 32768, 2 * n).astype("<i2").tobytes()
@@ -623,8 +624,10 @@ def test_non_finite_sample_that_no_window_reads_is_refused(tmp_path, source, tar
 @pytest.mark.parametrize("source, target", ((44100, 16000), (48000, 16000), (22050, 16000), (8000, 16000),
                                             (176400, 16000), (16000, 44100)))
 def test_band_limit_leaves_common_groups_alone(source, target):
-    down = source // math.gcd(source, target)
-    assert (_kernels._GROUP_COLUMNS - 1) * down <= _kernels._BAND_LIMIT
+    """A group of _GROUP_COLUMNS columns, over rows of whole periods, stays within the band limit."""
+    up, down = target // math.gcd(source, target), source // math.gcd(source, target)
+    periods = _kernels._layout(up, down, _kernels.RESAMPLER_TAPS)[0]
+    assert (_kernels._GROUP_COLUMNS - 1) * down * periods <= _kernels._BAND_LIMIT
 
 
 def test_resample_from_a_megahertz_rate_holds_bounded_bands():
@@ -645,8 +648,9 @@ def test_read_from_a_megahertz_rate_holds_a_bounded_window(tmp_path):
     """read_wav of 3 s of 1,000,003 Hz mono PCM16 at 16 kHz. Products of 1024
     rows spanned about 2 M input samples each here, and the read peaked at
     46.0 MB of traced memory. Products of at most _CHUNK_SPAN input samples,
-    with at most _BANDS_HELD group matrices held, peak at 17.0 MB: the
-    polyphase table (8.2 MB), the list of 24,000 products (6.2 MB), and the window."""
+    holding no group matrix, as the 8,000 of them would pass _BANDS_BYTES,
+    peak at 17.0 MB: the polyphase table (8.2 MB), the list of 24,000
+    products (6.2 MB), and the window."""
     rate = 1_000_003
     assert _kernels._CHUNK_SPAN // (rate // math.gcd(rate, 16000)) == 0  # one row per product
     samples = np.random.default_rng(12).integers(-3000, 3000, 3 * rate).astype("<i2")
@@ -665,8 +669,11 @@ def test_read_from_a_megahertz_rate_holds_a_bounded_window(tmp_path):
 @pytest.mark.parametrize("source, target", ((44100, 16000), (48000, 16000), (22050, 16000), (11025, 16000),
                                             (8000, 16000), (96000, 1000), (176400, 16000), (8000, 44100)))
 def test_common_rate_pairs_keep_1024_rows_per_product(source, target):
-    down = source // math.gcd(source, target)
-    assert min(_kernels._CHUNK_ROWS, _kernels._CHUNK_SPAN // down) == 1024
+    """Each product of a common pair runs 512 rows, whole periods to a row where up is small.
+
+    The name is the one this test had when products ran 1024 rows."""
+    up, down = target // math.gcd(source, target), source // math.gcd(source, target)
+    assert _kernels._layout(up, down, _kernels.RESAMPLER_TAPS)[2] == _kernels._CHUNK_ROWS == 512
 
 
 def test_detect_on_a_gigahertz_header_does_not_exhaust_memory(tmp_path):

@@ -250,6 +250,45 @@ def test_sweep_refuses_a_hop_over_a_grid_window_before_reading_a_clip(tmp_path):
         sweep([missing], [0.31, 0.02], [12.0], cascade, base_config=VadConfig(hop_length_s=0.05))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("windows, thresholds", [
+    ([0.31, 0.02], [12.0, _NAN]),  # a bad threshold fails in the first row
+    ([-1.0, 0.31], [_INF, 12.0]),  # a bad first window and a bad threshold: the first point names the window
+    ([0.31, 0.02, 0.0, _NAN], [6.0, 12.0]),  # a window under the hop, then worse ones
+    ([0.31, 0.62], [6.0, -_INF, _NAN]),
+    ([0.31, _INF], [12.0, 12.0, 6.0]),
+])
+def test_sweep_raises_at_the_first_failing_grid_point(tmp_path, windows, thresholds):
+    """The failure names the first grid point, in grid order, that VadConfig refuses, with its own error,
+    before any clip is read."""
+    base = VadConfig(hop_length_s=0.05)
+    expected = None
+    for window, threshold in itertools.product(windows, thresholds):
+        try:
+            dataclasses.replace(base, window_length_s=window, snr_threshold_db=threshold)
+        except VadKitError as exc:
+            expected = f"grid point (window={window}, threshold={threshold}): {exc}"
+            break
+    missing = LabeledClip(audio_path=str(tmp_path / "missing.wav"), speech_intervals=())
+    with pytest.raises(SweepFailure) as raised:
+        sweep([missing], windows, thresholds, design_butterworth_bandpass(FilterSpec()), base_config=base)
+    assert str(raised.value) == expected
+
+
+def test_sweep_grid_configs_equal_checked_configs(corpus_dir):
+    """Each grid point's config equals the checked config of its window and threshold, field for field."""
+    clips, cascade = _sweep_fixture(corpus_dir)
+    base = VadConfig(hop_length_s=0.01, noise_percentile=0.2)
+    result = sweep(clips[:2], [0.31, 0.02], [6.0, 12.0, 3.0], cascade, base_config=base)
+    for point in result.grid:
+        config = dataclasses.replace(base, window_length_s=point.window_s, snr_threshold_db=point.threshold_db)
+        assert point.report.config == config
+        assert vars(point.report.config) == vars(config)
+        assert list(vars(point.report.config)) == [field.name for field in dataclasses.fields(VadConfig)]
+
+
 def test_evaluate_clips_refuses_no_clips():
     with pytest.raises(VadKitError, match="evaluation needs at least one clip"):
         evaluate_clips([], design_butterworth_bandpass(FilterSpec()), VadConfig())

@@ -1,5 +1,7 @@
 """The block kernels against their loop oracles, and their determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,18 +88,53 @@ def test_polyphase_matches_loop_oracle():
 
 
 def test_polyphase_chunks_match_loop_oracle():
-    """Rows past _CHUNK_ROWS: (5, 120) runs groups of 3 and 2 columns over two
-    in-place chunks of windows, between the rows that cross either end."""
-    up, down = 5, 120
-    rows = 2 * _kernels._CHUNK_ROWS + 7
-    n = rows * down
-    rng = np.random.default_rng(33)
+    """Rows past _CHUNK_ROWS, over more than two products per group between
+    the rows that cross either end. (5, 120) runs groups of 3 and 2 columns
+    over two in-place chunks of windows. (1, 3), (2, 1) and (1, 6) hold 16,
+    8 and 11 whole periods a row, and copy their overlapping windows.
+    (160, 441) runs ten groups of 16 columns in place."""
+    for up, down, chunks in ((5, 120, 2), (1, 3, 1), (2, 1, 1), (1, 6, 1), (160, 441, 1)):
+        periods, _, chunk = _kernels._layout(up, down, _kernels.RESAMPLER_TAPS)
+        n = (chunks * chunk + 7) * periods * down
+        rng = np.random.default_rng([33, up, down])
+        x = rng.standard_normal(n)
+        taps = rng.standard_normal((up, _kernels.RESAMPLER_TAPS))
+        n_out = -(-n * up // down)
+        loop = naive_polyphase(_padded(x), taps, up, down, n_out, ORACLE_PAD)
+        fast = _kernels.polyphase_filter(x, taps, up, down, n_out)
+        assert np.max(np.abs(loop - fast)) / max(1.0, float(np.max(np.abs(fast)))) < RELATIVE_BOUND, (up, down)
+
+
+# Rates that recordings commonly come at, each resampled to the detector's 16 kHz.
+COMMON_RATES = (8000, 11025, 22050, 32000, 44100, 48000, 96000)
+
+
+@pytest.mark.parametrize("rate", COMMON_RATES)
+def test_common_pairs_run_every_product_in_blas(monkeypatch, rate):
+    """Each product's left operand has unit column stride and a row stride of
+    at least its width, so that numpy hands it to BLAS rather than to its own
+    loop, and each group matrix is built once per call, over an input of
+    more than two products per group."""
+    up, down = 16000 // math.gcd(rate, 16000), rate // math.gcd(rate, 16000)
+    periods, _, chunk = _kernels._layout(up, down, _kernels.RESAMPLER_TAPS)
+    n = (2 * chunk + 7) * periods * down
+    rng = np.random.default_rng(rate)
     x = rng.standard_normal(n)
     taps = rng.standard_normal((up, _kernels.RESAMPLER_TAPS))
-    n_out = -(-n * up // down)
-    loop = naive_polyphase(_padded(x), taps, up, down, n_out, ORACLE_PAD)
-    fast = _kernels.polyphase_filter(x, taps, up, down, n_out)
-    assert np.max(np.abs(loop - fast)) / max(1.0, float(np.max(np.abs(fast)))) < RELATIVE_BOUND
+    matmul, lefts, matrices = np.matmul, [], []
+
+    def recording(left, right, **kwargs):
+        lefts.append((left.shape, left.strides))
+        matrices.append(right)  # held, so that no two matrices share an id
+        return matmul(left, right, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    _kernels.polyphase_filter(x, taps, up, down, -(-n * up // down))
+    monkeypatch.undo()
+    assert len(lefts) > 2 * len({id(m) for m in matrices})
+    for (rows, width), (row_stride, column_stride) in lefts:
+        assert column_stride == 8 and row_stride >= 8 * width, (rows, width, row_stride)
+    assert len({id(m) for m in matrices}) == len({m.tobytes() for m in matrices})
 
 
 def test_kernels_are_deterministic():

@@ -11,8 +11,11 @@ Seeded 3-channel float32 and 10-channel PCM16 files, written with numpy and
 `struct`, take it through the reader's other two downmix paths (columns
 added in order below 8 channels, numpy's mean from 8 up). A seeded 25 s
 stereo PCM24 file at 44.1 kHz takes detect's blocked read through 17
-decoder blocks, the last one partial, and two full resampler products of
-1024 rows and a partial one per column group. A seeded 10 s stereo float32
+decoder blocks, the last one partial, and four full resampler products of
+512 rows and a partial one per column group. A seeded 20 s stereo PCM16
+file at 48 kHz, the commonest recording rate, takes detect through a rate
+pair whose windows overlap: each row holds 16 whole periods, and each of
+its 40 products copies its windows. A seeded 10 s stereo float32
 file at 96 kHz, detected at 1 kHz, takes the resampler through a rate pair
 whose windows read 64 of every 96 samples: the reader passes over the
 samples between two products and after the last window.
@@ -53,6 +56,7 @@ _FLOAT3 = "float3ch.wav"
 _PCM10 = "pcm10ch.wav"
 _PCM24 = "pcm24stereo.wav"
 _GAP96 = "float96k.wav"
+_STEREO48 = "stereo48.wav"
 
 COMMANDS = [
     ("gen-corpus", ["gen-corpus", "--out-dir", "corpus", "--seed", "0"]),
@@ -118,6 +122,8 @@ COMMANDS = [
     # Three workers over 13 clips, with a hop below the window and a threshold of 0 dB.
     ("eval-jobs3-w50-h20", ["eval", "--manifest", _MANIFEST, "--jobs", "3", "--window", "0.05", "--hop", "0.02",
                             "--threshold", "0", "--out", "eval_jobs3.json"]),
+    ("detect-stereo-48k", ["detect", _STEREO48, "--out", "detect_stereo48.json",
+                           "--frames-csv", "detect_stereo48.csv", "--threshold", "12"]),
 ]
 
 
@@ -159,6 +165,7 @@ def write_multichannel(path: str, channels: int, sample_format: str, seed: int,
 def run_commands(root: str) -> None:
     os.makedirs(os.path.join(root, "stdout"))
     write_stereo_pcm16(os.path.join(root, _STEREO))
+    write_stereo_pcm16(os.path.join(root, _STEREO48), seconds=20.0, rate=48000)
     write_multichannel(os.path.join(root, _FLOAT3), 3, "float32", seed=3)
     write_multichannel(os.path.join(root, _PCM10), 10, "pcm16", seed=10)
     write_multichannel(os.path.join(root, _PCM24), 2, "pcm24", seed=24, seconds=25.0, rate=44100)
