@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import operator
 import os
 import sys
 
@@ -20,6 +21,8 @@ from .config import CliConfig, load_config, value_type
 from .corpus import corpus_files, generate_corpus, labels_sidecar_path
 from .errors import LengthMismatch, VadKitError
 from .evaluate import (
+    EvalReport,
+    GridPoint,
     LabeledClip,
     evaluate_clips,
     load_manifest,
@@ -224,10 +227,12 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 def _grid_dicts(points) -> list[dict]:
     """Each grid point's fields, its report's and its config's, for points of one sweep, whose configs differ
-    only in window and threshold. A record's vars hold its fields in declaration order, as its __init__ sets them."""
+    only in window and threshold: each window's config dict is built once and copied with each threshold."""
     configs = {p.report.config.window_length_s: p.report.config for p in points}
     configs = {window: config_to_dict(config) for window, config in configs.items()}
-    return [dict(vars(p), report=dict(vars(p.report), config=dict(
+    point_names, report_names = ([f.name for f in dataclasses.fields(record)] for record in (GridPoint, EvalReport))
+    point_values, report_values = operator.attrgetter(*point_names), operator.attrgetter(*report_names)
+    return [dict(zip(point_names, point_values(p)), report=dict(zip(report_names, report_values(p.report)), config=dict(
         configs[p.report.config.window_length_s], snr_threshold_db=p.report.config.snr_threshold_db))) for p in points]
 
 

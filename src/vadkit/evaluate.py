@@ -294,7 +294,8 @@ def sweep(
 def _copy(record, **changes):
     """A frozen dataclass record with changes to fields whose values it has already checked; no check runs."""
     copy = object.__new__(type(record))
-    vars(copy).update(vars(record), **changes)
+    for field in dataclasses.fields(record):
+        object.__setattr__(copy, field.name, changes.get(field.name, getattr(record, field.name)))
     return copy
 
 
