@@ -10,19 +10,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import operator
 import os
 import sys
 
 from . import __version__, repro
-from .artifacts import read_json, write_json, write_table
+from .artifacts import field_dict, read_json, write_json, write_table
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .config import CliConfig, load_config, value_type
 from .corpus import corpus_files, generate_corpus, labels_sidecar_path
 from .errors import LengthMismatch, VadKitError
 from .evaluate import (
-    EvalReport,
-    GridPoint,
     LabeledClip,
     evaluate_clips,
     load_manifest,
@@ -230,9 +227,7 @@ def _grid_dicts(points) -> list[dict]:
     only in window and threshold: each window's config dict is built once and copied with each threshold."""
     configs = {p.report.config.window_length_s: p.report.config for p in points}
     configs = {window: config_to_dict(config) for window, config in configs.items()}
-    point_names, report_names = ([f.name for f in dataclasses.fields(record)] for record in (GridPoint, EvalReport))
-    point_values, report_values = operator.attrgetter(*point_names), operator.attrgetter(*report_names)
-    return [dict(zip(point_names, point_values(p)), report=dict(zip(report_names, report_values(p.report)), config=dict(
+    return [field_dict(p, report=field_dict(p.report, config=dict(
         configs[p.report.config.window_length_s], snr_threshold_db=p.report.config.snr_threshold_db))) for p in points]
 
 

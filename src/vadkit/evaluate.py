@@ -96,8 +96,9 @@ def truth_frame_flags(starts: np.ndarray, window, clip: LabeledClip) -> np.ndarr
     return covered >= 0.5 * window
 
 
-def _check_labels(clip: LabeledClip, clip_end: float, window: float) -> None:
-    """LabelOutOfRange for an interval that ends more than a window past clip_end, the end of the last frame."""
+def _check_labels(clip: LabeledClip, starts, window: float) -> None:
+    """LabelOutOfRange for an interval that ends more than a window past the clip end, where the last frame ends."""
+    clip_end = float(starts[-1]) + window if len(starts) else 0.0
     for start, end in clip.speech_intervals:
         if end > clip_end + window:
             raise LabelOutOfRange(
@@ -106,9 +107,8 @@ def _check_labels(clip: LabeledClip, clip_end: float, window: float) -> None:
 
 
 def score(result: VadResult, clip: LabeledClip) -> EvalReport:
-    starts, window = result.frames.start_s, result.config.window_length_s
-    _check_labels(clip, float(starts[-1]) + window if len(starts) else 0.0, window)
-    truth = truth_frame_flags(starts, window, clip)
+    _check_labels(clip, result.frames.start_s, result.config.window_length_s)
+    truth = truth_frame_flags(result.frames.start_s, result.config.window_length_s, clip)
     predicted = result.frames.is_speech
     tp, flagged, speech = (int(np.sum(flags)) for flags in (predicted & truth, predicted, truth))
     return EvalReport.from_counts(tp, flagged - tp, truth.size - flagged - speech + tp, speech - tp, result.config)
@@ -184,8 +184,7 @@ def _chunk_counts(clips, cascade: BiquadCascade, configs, thresholds_db) -> list
         for config in configs:  # every check that needs no samples, in config order
             with _naming(clip, config):
                 windows.append(WindowEnergies(config, buffer.sample_rate_hz, len(buffer)))
-                clip_end = (windows[-1].frames - 1) * config.hop_s + config.window_length_s
-                _check_labels(clip, clip_end, config.window_length_s)
+                _check_labels(clip, [(windows[-1].frames - 1) * config.hop_s], config.window_length_s)  # last start
         frames = [window.frames for window in windows]
         starts = np.concatenate([np.arange(window.frames) * window.config.hop_s for window in windows])
         truth = truth_frame_flags(starts, np.repeat([config.window_length_s for config in configs], frames), clip)
