@@ -90,8 +90,6 @@ _CHUNK_SPAN = 1024 * 441
 # Samples a fill input's window holds beyond the longest span, so that it moves
 # what it keeps to its start about once per this many samples read, not once per product.
 _WINDOW_SLACK = 1 << 16
-# Bound on (group - 1) * down, which the group matrices hold beyond the taps (44.1 -> 16 kHz: 15 x 441).
-_BAND_LIMIT = 2**20
 # Bytes of group matrices a call holds. A call whose matrices fit holds all
 # of them (11.025 -> 16 kHz: 40 groups, 380 KB); one whose matrices do not
 # (up in the thousands) builds each product's matrix afresh, as its products
@@ -338,14 +336,13 @@ def _layout(up, down, taps):
     """(periods, group, chunk) of the resampler: whole periods per row, output columns per group, rows per product.
 
     A group takes at most _GROUP_COLUMNS columns, and at most
-    1 + taps * up // down, so that at least half of its matrix is taps. A
-    row holds as many whole periods as fit in that width, and one period
-    when up alone fills it. A down so large that (group - 1) * down would
-    pass _BAND_LIMIT narrows the groups.
+    1 + taps * up // down, so that its matrix holds at most 2 * taps rows,
+    at least half of them taps, however large down is. A row holds as many
+    whole periods as fit in that width, and one period when up alone fills it.
     """
     widest = min(_GROUP_COLUMNS, 1 + taps * up // down)
     periods = max(1, widest // up)
-    group = min(up * periods, widest, 1 + _BAND_LIMIT // (down * periods))
+    group = min(up * periods, widest)
     chunk = min(_CHUNK_ROWS, max(1, _CHUNK_SPAN // (down * periods)))
     return periods, group, chunk
 

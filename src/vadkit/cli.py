@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__, repro
-from .artifacts import field_dict, read_json, write_json, write_table
+from .artifacts import read_json, write_json, write_table
 from .audio_io import AudioBuffer, read_wav, write_wav
 from .config import CliConfig, load_config, value_type
 from .corpus import corpus_files, generate_corpus, labels_sidecar_path
@@ -23,6 +23,7 @@ from .evaluate import (
     LabeledClip,
     evaluate_clips,
     load_manifest,
+    point_to_dict,
     report_to_dict,
     sweep,
     sweep_to_csv,
@@ -30,7 +31,7 @@ from .evaluate import (
 from .filters import cascade_to_dict, design_butterworth_bandpass, response_sweep
 from .mixing import MixSpec, ambient_gain_for_snr, mix
 from .spectrogram import spectrogram, to_json_dict, write_long_csv, write_pgm
-from .vad import config_to_dict, detect, frames_to_csv, result_to_dict
+from .vad import detect, frames_to_csv, result_to_dict
 
 import numpy as np
 
@@ -222,15 +223,6 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _grid_dicts(points) -> list[dict]:
-    """Each grid point's fields, its report's and its config's, for points of one sweep, whose configs differ
-    only in window and threshold: each window's config dict is built once and copied with each threshold."""
-    configs = {p.report.config.window_length_s: p.report.config for p in points}
-    configs = {window: config_to_dict(config) for window, config in configs.items()}
-    return [field_dict(p, report=field_dict(p.report, config=dict(
-        configs[p.report.config.window_length_s], snr_threshold_db=p.report.config.snr_threshold_db))) for p in points]
-
-
 def cmd_sweep(args) -> int:
     clips = load_manifest(args.manifest)
     _refuse_overwrites(args, args.out, args.csv, inputs=[clip.audio_path for clip in clips])
@@ -245,8 +237,8 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
     )
     payload = {
-        "grid": _grid_dicts(result.grid),
-        "best": _grid_dicts([result.best])[0],
+        "grid": [point_to_dict(p) for p in result.grid],
+        "best": point_to_dict(result.best),
         "effective_config": config.to_dict(),
     }
     write_json(payload, args.out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -87,27 +88,21 @@ class SweepResult:
     best: GridPoint
 
 
-def truth_frame_flags(starts: np.ndarray, window, clip: LabeledClip) -> np.ndarray:
-    """Boolean ground truth per frame (start times in s; window in s, or one per frame) via the half-overlap rule."""
+def truth_frame_flags(starts: np.ndarray, window: float, clip: LabeledClip) -> np.ndarray:
+    """Boolean ground truth per frame (start times in s, window in s) via the half-overlap rule."""
+    clip_end = float(starts[-1]) + window if len(starts) else 0.0
     ends = starts + window
     covered = np.zeros(len(starts))
-    for start, end in clip.speech_intervals:
-        covered += np.maximum(0.0, np.minimum(ends, end) - np.maximum(starts, start))
-    return covered >= 0.5 * window
-
-
-def _check_labels(clip: LabeledClip, starts, window: float) -> None:
-    """LabelOutOfRange for an interval that ends more than a window past the clip end, where the last frame ends."""
-    clip_end = float(starts[-1]) + window if len(starts) else 0.0
     for start, end in clip.speech_intervals:
         if end > clip_end + window:
             raise LabelOutOfRange(
                 f"interval ({start}, {end}) runs past the clip end ({clip_end:.3f} s) in {clip.audio_path}"
             )
+        covered += np.maximum(0.0, np.minimum(ends, end) - np.maximum(starts, start))
+    return covered >= 0.5 * window
 
 
 def score(result: VadResult, clip: LabeledClip) -> EvalReport:
-    _check_labels(clip, result.frames.start_s, result.config.window_length_s)
     truth = truth_frame_flags(result.frames.start_s, result.config.window_length_s, clip)
     predicted = result.frames.is_speech
     tp, flagged, speech = (int(np.sum(flags)) for flags in (predicted & truth, predicted, truth))
@@ -147,16 +142,6 @@ def save_manifest(clips, path) -> None:
     write_json([clip.to_dict(os.path.relpath(os.path.abspath(clip.audio_path), base)) for clip in clips], path)
 
 
-def _parallel_map(fn, args: list[tuple], jobs: int) -> list:
-    """[fn(*a) for a in args], over a process pool when jobs > 1; order kept."""
-    if jobs < 1:
-        raise VadKitError(f"jobs must be at least 1, got {jobs}")
-    if jobs > 1 and len(args) > 1:  # fork starts every worker at the first submit: one per item at most
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            return list(pool.map(fn, *zip(*args)))
-    return [fn(*a) for a in args]
-
-
 @contextlib.contextmanager
 def _naming(clip: LabeledClip, config: VadConfig):
     """Re-raise a VadKitError with the clip and the window named."""
@@ -171,29 +156,28 @@ def _chunk_counts(clips, cascade: BiquadCascade, configs, thresholds_db) -> list
 
     Each clip is read once, filtered pass by pass through one `PassBuffers`
     and squared once per pass; every config's window takes its frames from
-    those squares. The checks that need no samples run first and name the
-    clip and the window; one call then flags the truth of every window's
-    frames. Clips gather in groups of at most PASS frames over all windows
-    (a longer clip alone), which `_group_counts` scores.
+    those squares. The checks that need no samples, and the truth flags of
+    each window's frames, come first and name the clip and the window. Clips
+    gather in groups of at most PASS frames over all windows (a longer clip
+    alone), which `_group_counts` scores.
     """
     buffers = PassBuffers()
     counts, group, held = [], [], 0
     for clip in clips:
         buffer = read_wav(clip.audio_path, cascade.spec.sample_rate_hz)[0]
-        windows = []
+        windows, truths = [], []
         for config in configs:  # every check that needs no samples, in config order
             with _naming(clip, config):
                 windows.append(WindowEnergies(config, buffer.sample_rate_hz, len(buffer)))
-                _check_labels(clip, [(windows[-1].frames - 1) * config.hop_s], config.window_length_s)  # last start
-        frames = [window.frames for window in windows]
-        starts = np.concatenate([np.arange(window.frames) * window.config.hop_s for window in windows])
-        truth = truth_frame_flags(starts, np.repeat([config.window_length_s for config in configs], frames), clip)
-        if group and held + sum(frames) > PASS:
+                starts = np.arange(windows[-1].frames) * config.hop_s
+                truths.append(truth_frame_flags(starts, config.window_length_s, clip))
+        frames = sum(window.frames for window in windows)
+        if group and held + frames > PASS:
             counts += _group_counts(group, configs, thresholds_db)
             group, held = [], 0
         feed_squares(filter_passes(cascade, buffer, buffers), windows, buffers.squares)
-        group.append((windows, np.split(truth, np.cumsum(frames[:-1]))))
-        held += sum(frames)
+        group.append((windows, truths))
+        held += frames
     return counts + _group_counts(group, configs, thresholds_db) if group else counts
 
 
@@ -231,10 +215,16 @@ def _counts_per_clip(clips, cascade: BiquadCascade, configs, thresholds_db, jobs
     The clips go out in min(jobs, clips) contiguous chunks, one task each,
     so that each worker reuses one set of pass buffers for its chunk.
     """
+    if jobs < 1:
+        raise VadKitError(f"jobs must be at least 1, got {jobs}")
     tasks = max(1, min(jobs, len(clips)))
+    if tasks == 1:
+        return _chunk_counts(clips, cascade, configs, thresholds_db)
     bounds = [len(clips) * k // tasks for k in range(tasks + 1)]
-    args = [(clips[lo:hi], cascade, configs, thresholds_db) for lo, hi in zip(bounds, bounds[1:])]
-    return [counts for chunk in _parallel_map(_chunk_counts, args, jobs) for counts in chunk]
+    chunks = [clips[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=tasks) as pool:  # fork starts every worker at the first submit: one a chunk
+        done = pool.map(_chunk_counts, chunks, [cascade] * tasks, [configs] * tasks, [thresholds_db] * tasks)
+        return [counts for chunk in done for counts in chunk]
 
 
 def evaluate_clips(clips, cascade: BiquadCascade, config: VadConfig, jobs: int = 1):
@@ -261,9 +251,11 @@ def sweep(
 ) -> SweepResult:
     """Grid search over window length and SNR threshold.
 
-    Each grid point is base_config with its window and threshold, and is
-    checked first: a hop longer than a grid window fails as that point. The
-    clips are then scored by `_chunk_counts` (over `jobs` processes), which
+    Each grid point is base_config with its window and threshold, built by
+    `dataclasses.replace` in grid order, so that VadConfig checks every
+    point before any clip is read: the first point it refuses, such as a
+    window shorter than the hop, raises SweepFailure naming it. The clips
+    are then scored by `_chunk_counts` (over `jobs` processes), which
     takes frame energies once per clip and window and scores every threshold
     from them. Best point maximizes F1, ties broken by lower threshold, then
     shorter window.
@@ -272,15 +264,13 @@ def sweep(
     thresholds_db = [float(t) for t in thresholds_db]
     if not clips or not windows_s or not thresholds_db:
         raise SweepFailure("sweep needs at least one clip, window, and threshold")
-    # VadConfig checks a window apart from a threshold, so the first row and column hold the first failing point.
-    checked, first_row = [], [(windows_s[0], t) for t in thresholds_db]
-    for window_s, threshold_db in first_row + [(w, thresholds_db[0]) for w in windows_s[1:]]:
+    points = []
+    for window_s, threshold_db in itertools.product(windows_s, thresholds_db):
         try:
-            checked.append(dataclasses.replace(base_config, window_length_s=window_s, snr_threshold_db=threshold_db))
+            points.append(dataclasses.replace(base_config, window_length_s=window_s, snr_threshold_db=threshold_db))
         except VadKitError as exc:
             raise SweepFailure(f"grid point (window={window_s}, threshold={threshold_db}): {exc}") from exc
-    windows = checked[:1] + checked[len(thresholds_db) :]
-    points = [_copy(config, snr_threshold_db=threshold_db) for config in windows for threshold_db in thresholds_db]
+    windows = points[:: len(thresholds_db)]
     counts = sum(_counts_per_clip(clips, cascade, windows, thresholds_db, jobs))  # (window, 4, threshold)
     grid = tuple(
         GridPoint(config.window_length_s, config.snr_threshold_db, EvalReport.from_counts(*point_counts, config))
@@ -290,16 +280,12 @@ def sweep(
     return SweepResult(grid=grid, best=best)
 
 
-def _copy(record, **changes):
-    """A frozen dataclass record with changes to fields whose values it has already checked; no check runs."""
-    copy = object.__new__(type(record))
-    for field in dataclasses.fields(record):
-        object.__setattr__(copy, field.name, changes.get(field.name, getattr(record, field.name)))
-    return copy
-
-
 def report_to_dict(report: EvalReport) -> dict:
     return field_dict(report, config=config_to_dict(report.config))
+
+
+def point_to_dict(point: GridPoint) -> dict:
+    return field_dict(point, report=report_to_dict(point.report))
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:

@@ -622,12 +622,23 @@ def test_non_finite_sample_that_no_window_reads_is_refused(tmp_path, source, tar
 
 
 @pytest.mark.parametrize("source, target", ((44100, 16000), (48000, 16000), (22050, 16000), (8000, 16000),
-                                            (176400, 16000), (16000, 44100)))
-def test_band_limit_leaves_common_groups_alone(source, target):
-    """A group of _GROUP_COLUMNS columns, over rows of whole periods, stays within the band limit."""
+                                            (176400, 16000), (16000, 44100), (96001, 44100), (100003, 20000)))
+def test_band_limit_leaves_common_groups_alone(monkeypatch, source, target):
+    """Each group matrix holds at most 2 * taps rows, at least half of them taps, however large down is.
+
+    The name is the one this test had when a separate limit on down narrowed the groups."""
     up, down = target // math.gcd(source, target), source // math.gcd(source, target)
-    periods = _kernels._layout(up, down, _kernels.RESAMPLER_TAPS)[0]
-    assert (_kernels._GROUP_COLUMNS - 1) * down * periods <= _kernels._BAND_LIMIT
+    taps, matmul, rows = _kernels.RESAMPLER_TAPS, np.matmul, []
+
+    def recording(left, right, **kwargs):
+        rows.append(right.shape[0])
+        return matmul(left, right, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    n = 2 * down
+    _kernels.polyphase_filter(np.ones(n), np.ones((up, taps)), up, down, -(-n * up // down))
+    monkeypatch.undo()
+    assert rows and max(rows) <= 2 * taps, max(rows)
 
 
 def test_resample_from_a_megahertz_rate_holds_bounded_bands():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from vadkit import AudioBuffer, CliConfig, write_wav
+from vadkit import AudioBuffer, CliConfig, LabeledClip, save_manifest, write_wav
 from vadkit.cli import main
 from vadkit.config import value_type
 
@@ -37,15 +37,36 @@ COMMANDS = {
     "mix-gain": (["mix", "in.wav", "bed.wav", "--out", "m.wav", "--gain"], MIX_FLAGS),
     "gen-corpus": (["gen-corpus", "--out-dir", "c"], {"--duration": FLOAT_VALUES, "--seed": INT_VALUES} | CONFIG_FLAGS),
 }
+# eval and sweep read a manifest of two clips, so that no --jobs value starts more than two workers.
+SCORING_FLAGS = {"--jobs": INT_VALUES} | CONFIG_FLAGS
+SCORING_COMMANDS = {
+    "eval": (["eval", "--manifest", "m.json"], SCORING_FLAGS),
+    "sweep": (["sweep", "--manifest", "m.json", "--csv", "grid.csv", "--windows", "--thresholds"], SCORING_FLAGS),
+}
+
+
+def _lists(usual: list[str]):
+    """One to three values, comma-separated, each one of usual or one of FLOAT_VALUES as often."""
+    return st.lists(st.sampled_from(usual) | st.sampled_from(FLOAT_VALUES), min_size=1, max_size=3).map(",".join)
+
+
+# The values of the fixed flags that take a list.
+LIST_FLAGS = {"--windows": _lists(["0.02", "0.05", "0.31"]), "--thresholds": _lists(["0", "6", "12"])}
 
 
 @st.composite
-def _command_lines(draw) -> list[str]:
-    """A command with up to three of its flags, each with one of its values."""
-    argv, flags = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
-    argv = argv.copy()
-    if argv[-1].startswith("--"):
-        argv[-1] += "=" + draw(st.sampled_from(FLOAT_VALUES))
+def _command_lines(draw, commands) -> list[str]:
+    """A command with up to three of its flags, each with one of its values.
+
+    A fixed flag that no value follows takes a drawn one: a list for
+    LIST_FLAGS, else one of FLOAT_VALUES.
+    """
+    fixed, flags = commands[draw(st.sampled_from(sorted(commands)))]
+    argv = []
+    for arg, following in zip(fixed, [*fixed[1:], "--"]):
+        if arg.startswith("--") and following.startswith("--"):
+            arg += "=" + draw(LIST_FLAGS.get(arg, st.sampled_from(FLOAT_VALUES)))
+        argv.append(arg)
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
         argv.append(f"{flag}={draw(st.sampled_from(flags[flag]))}")  # "=" keeps -1 from reading as a flag
     return argv
@@ -53,13 +74,15 @@ def _command_lines(draw) -> list[str]:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A 0.25 s speech-like clip and a longer noise bed at 16 kHz."""
+    """A 0.25 s speech-like clip, a longer noise bed at 16 kHz, and a manifest that labels both."""
     root = tmp_path_factory.mktemp("fuzz-inputs")
     rng = np.random.default_rng(3)
     t = np.arange(4000) / 16000
     speech = 0.5 * np.sin(2 * np.pi * 440 * t) * (t > 0.1) + 0.01 * rng.standard_normal(4000)
     write_wav(AudioBuffer(speech, 16000), root / "in.wav")
     write_wav(AudioBuffer(0.1 * rng.standard_normal(8000), 16000), root / "bed.wav")
+    clips = [LabeledClip(str(root / "in.wav"), ((0.1, 0.25),)), LabeledClip(str(root / "bed.wav"), ())]
+    save_manifest(clips, root / "m.json")
     return root
 
 
@@ -87,11 +110,9 @@ def _run_in(directory, argv) -> int:
         os.chdir(here)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(argv=_command_lines())
-def test_any_flag_values_exit_0_or_2_and_exit_2_writes_nothing(inputs, argv):
+def _exits_0_or_2_and_2_writes_nothing(inputs, argv) -> None:
     with tempfile.TemporaryDirectory(dir=inputs.parent) as work:
-        for name in ("in.wav", "bed.wav"):
+        for name in ("in.wav", "bed.wav", "m.json"):
             shutil.copy(inputs / name, work)
         before = _snapshot(work)
         code = _run_in(work, argv)
@@ -99,3 +120,15 @@ def test_any_flag_values_exit_0_or_2_and_exit_2_writes_nothing(inputs, argv):
         assert code in (0, 2), argv
         if code == 2:
             assert _snapshot(work) == before, argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=_command_lines(COMMANDS))
+def test_any_flag_values_exit_0_or_2_and_exit_2_writes_nothing(inputs, argv):
+    _exits_0_or_2_and_2_writes_nothing(inputs, argv)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(argv=_command_lines(SCORING_COMMANDS))
+def test_eval_and_sweep_flag_values_exit_0_or_2_and_exit_2_writes_nothing(inputs, argv):
+    _exits_0_or_2_and_2_writes_nothing(inputs, argv)

@@ -24,7 +24,7 @@ from vadkit import (
     score,
     sweep,
 )
-from vadkit.errors import LabelOutOfRange, SweepFailure, VadKitError
+from vadkit.errors import InvalidSpec, LabelOutOfRange, SweepFailure, VadKitError
 from vadkit._kernels import PASS, PassBuffers
 from vadkit.audio_io import AudioBuffer, write_wav
 from vadkit.evaluate import _chunk_counts, sweep_to_csv
@@ -287,6 +287,23 @@ def test_sweep_grid_configs_equal_checked_configs(corpus_dir):
         assert point.report.config == config
         assert vars(point.report.config) == vars(config)
         assert list(vars(point.report.config)) == [field.name for field in dataclasses.fields(VadConfig)]
+
+
+def test_sweep_checks_every_grid_point_before_reading_a_clip(tmp_path, monkeypatch):
+    """A point in neither the first row nor the first column that VadConfig refuses fails the sweep,
+    named, before any clip is read."""
+    check = VadConfig.__post_init__
+
+    def refusing(config):
+        check(config)
+        if (config.window_length_s, config.snr_threshold_db) == (0.62, 12.0):
+            raise InvalidSpec("refused here")
+
+    monkeypatch.setattr(VadConfig, "__post_init__", refusing)
+    missing = LabeledClip(audio_path=str(tmp_path / "missing.wav"), speech_intervals=())
+    with pytest.raises(SweepFailure) as raised:
+        sweep([missing], [0.31, 0.62], [6.0, 12.0], design_butterworth_bandpass(FilterSpec()))
+    assert str(raised.value) == "grid point (window=0.62, threshold=12.0): refused here"
 
 
 def test_evaluate_clips_refuses_no_clips():

@@ -68,11 +68,12 @@ def test_sos_matches_loop_oracle(design):
 def test_polyphase_matches_loop_oracle():
     rng = np.random.default_rng(32)
     # Pairs with down < 64 taps run whole rows. (147, 160) and (160, 147): up is
-    # not a multiple of the group width. (101, 80): a window fits down samples
-    # only in groups of 21 columns.
+    # not a multiple of the group width. (101, 80): groups of 16 columns whose
+    # windows fit in down samples. (44100, 96001): 96,001 -> 44,100 Hz, groups
+    # of 16 columns whose windows span 97 samples.
     pairs = (
         (2, 3), (3, 2), (160, 441), (441, 160), (1, 4), (1, 6), (2, 1), (2, 2001),
-        (147, 160), (160, 147), (101, 80),
+        (147, 160), (160, 147), (101, 80), (44100, 96001),
     )
     for up, down in pairs:
         # Inputs shorter than the tap count read zero padding on both sides.

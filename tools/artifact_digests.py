@@ -124,6 +124,11 @@ COMMANDS = [
                             "--threshold", "0", "--out", "eval_jobs3.json"]),
     ("detect-stereo-48k", ["detect", _STEREO48, "--out", "detect_stereo48.json",
                            "--frames-csv", "detect_stereo48.csv", "--threshold", "12"]),
+    # A base config whose noise percentile and hop differ from the defaults: every grid point's
+    # config carries them, and its hop_length_s is the hop, not the grid window.
+    ("sweep-p20-h10", ["sweep", "--manifest", _MANIFEST, "--windows", "0.02,0.05,0.31", "--thresholds", "3,9,15",
+                       "--noise-percentile", "0.2", "--hop", "0.01",
+                       "--out", "sweep_p20.json", "--csv", "sweep_p20.csv"]),
 ]
 
 
