@@ -36,12 +36,19 @@ from .vad import detect, frames_to_csv, result_to_dict
 import numpy as np
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# The settings each subcommand reads, and so the config flags it takes. --config is on every one.
+_FILTER_SETTINGS = ("sample_rate_hz", "filter_order", "low_cutoff_hz", "high_cutoff_hz")
+_SWEEP_SETTINGS = (*_FILTER_SETTINGS, "hop_s", "noise_percentile")  # --windows/--thresholds set the rest
+_DETECT_SETTINGS = (*_SWEEP_SETTINGS, "window_s", "threshold_db")
+_SPECTROGRAM_SETTINGS = ("sample_rate_hz", "fft_size", "spectrogram_hop")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", metavar="PATH", help="flat JSON config file")
     for field in dataclasses.fields(CliConfig):
         meta = field.metadata
-        if meta["flag"]:
+        if field.name in names:
             group.add_argument(
                 meta["flag"], dest=field.name, type=value_type(field), metavar=meta["metavar"], help=meta["help"]
             )
@@ -283,13 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
         "SNR thresholding, plus mixing, spectrograms, and evaluation tools.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: sweep's --window and --threshold would read as --windows and --thresholds.
+    full_flags = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=full_flags)
 
     p = sub.add_parser("detect", help="run the detector on a WAV file")
     p.add_argument("input", help="input WAV path")
     p.add_argument("--out", metavar="PATH", help="result JSON path (default: <input>.vad.json)")
     p.add_argument("--frames-csv", metavar="PATH", help="also write the frame table as CSV")
-    _add_config_flags(p)
+    _add_config_flags(p, _DETECT_SETTINGS)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("mix", help="mix speech with an ambient bed")
@@ -302,27 +311,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize-peak", type=float, metavar="P", help="rescale output peak to P")
     p.add_argument("--format", choices=["pcm16", "float32"], default="float32", help="output sample format")
     p.add_argument("--speech-labels", metavar="PATH", help="labels JSON for the speech clip")
-    _add_config_flags(p)
+    _add_config_flags(p, ())
     p.set_defaults(func=cmd_mix)
 
     p = sub.add_parser("spectrogram", help="write a spectrogram of a WAV file")
     p.add_argument("input", help="input WAV path")
     p.add_argument("--out", metavar="PATH", help="output path (default derives from input)")
     p.add_argument("--format", choices=["json", "csv", "pgm"], default="json", help="output format")
-    _add_config_flags(p)
+    _add_config_flags(p, _SPECTROGRAM_SETTINGS)
     p.set_defaults(func=cmd_spectrogram)
 
     p = sub.add_parser("filter-dump", help="write the bandpass design and its response sweep")
     p.add_argument("--out", metavar="PATH", default="filter.json", help="cascade JSON path")
     p.add_argument("--response-csv", metavar="PATH", help="response CSV path (default: <out>.response.csv)")
-    _add_config_flags(p)
+    _add_config_flags(p, _FILTER_SETTINGS)
     p.set_defaults(func=cmd_filter_dump)
 
     p = sub.add_parser("eval", help="score the detector against a labeled manifest")
     p.add_argument("--manifest", metavar="PATH", required=True, help="manifest JSON path")
     p.add_argument("--out", metavar="PATH", default="eval_report.json", help="report JSON path")
     p.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel worker count")
-    _add_config_flags(p)
+    _add_config_flags(p, _DETECT_SETTINGS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid-search window length and threshold")
@@ -332,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", default="sweep.json", help="grid JSON path")
     p.add_argument("--csv", metavar="PATH", help="grid CSV path")
     p.add_argument("--jobs", type=int, default=1, metavar="N", help="parallel worker count")
-    _add_config_flags(p)
+    _add_config_flags(p, _SWEEP_SETTINGS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen-corpus", help="generate the seeded synthetic corpus")
     p.add_argument("--out-dir", metavar="DIR", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="corpus seed")
     p.add_argument("--duration", type=float, default=4.0, metavar="S", help="clip duration in seconds")
-    _add_config_flags(p)
+    _add_config_flags(p, ("sample_rate_hz",))
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser(
@@ -353,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", metavar="DIR", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="corpus seed")
     p.add_argument("--snr", type=float, default=10.0, metavar="DB", help="mixture SNR for the figures")
-    _add_config_flags(p)
+    _add_config_flags(p, _DETECT_SETTINGS + _SPECTROGRAM_SETTINGS)
     p.set_defaults(func=cmd_repro_figures)
 
     return parser

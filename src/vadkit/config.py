@@ -2,8 +2,9 @@
 
 Each setting is declared once, as a field of `CliConfig`: its default, and
 in the field metadata its command-line flag, metavar and help. The CLI
-flags and the config-file value types are derived from these fields. A
-field without a flag (`energy_floor`) is set only from a config file.
+flags, on the subcommands that read their settings, and the config-file
+value types are derived from these fields. A field without a flag
+(`energy_floor`) is set only from a config file.
 
 Precedence: the command's base config (these defaults; `repro-figures`
 starts from `repro.BASE_CONFIG`), then the --config file, then flags. The

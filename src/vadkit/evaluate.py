@@ -11,7 +11,6 @@ import contextlib
 import dataclasses
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +221,7 @@ def _counts_per_clip(clips, cascade: BiquadCascade, configs, thresholds_db, jobs
         return _chunk_counts(clips, cascade, configs, thresholds_db)
     bounds = [len(clips) * k // tasks for k in range(tasks + 1)]
     chunks = [clips[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, ~9 ms one worker never needs
     with ProcessPoolExecutor(max_workers=tasks) as pool:  # fork starts every worker at the first submit: one a chunk
         done = pool.map(_chunk_counts, chunks, [cascade] * tasks, [configs] * tasks, [thresholds_db] * tasks)
         return [counts for chunk in done for counts in chunk]

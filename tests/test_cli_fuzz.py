@@ -1,6 +1,7 @@
 """Random flag values on the commands that take numbers: every run exits 0 or 2, and a run that
 exits 2 writes nothing: no new file or directory, and no changed file."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from vadkit import AudioBuffer, CliConfig, LabeledClip, save_manifest, write_wav
-from vadkit.cli import main
+from vadkit.cli import build_parser, main
 from vadkit.config import value_type
 
 # Extreme and degenerate values, each spelled as a user would type it.
@@ -26,22 +27,31 @@ CONFIG_FLAGS = {
     for f in dataclasses.fields(CliConfig)
     if f.metadata["flag"]
 }
-MIX_FLAGS = {"--normalize-peak": FLOAT_VALUES, **CONFIG_FLAGS}
+SUBPARSERS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(command: str) -> dict:
+    """The config flags that the subcommand's parser takes, each with its values."""
+    taken = SUBPARSERS[command]._option_string_actions
+    return {flag: values for flag, values in CONFIG_FLAGS.items() if flag in taken}
+
+
+MIX_FLAGS = {"--normalize-peak": FLOAT_VALUES} | _flags("mix")
 # Each command's fixed arguments (a last flag then takes a value), and the flags drawn for it.
 COMMANDS = {
-    "detect": (["detect", "in.wav"], CONFIG_FLAGS),
-    "spectrogram-json": (["spectrogram", "in.wav"], CONFIG_FLAGS),
-    "spectrogram-csv": (["spectrogram", "in.wav", "--format", "csv"], CONFIG_FLAGS),
-    "filter-dump": (["filter-dump"], CONFIG_FLAGS),
+    "detect": (["detect", "in.wav"], _flags("detect")),
+    "spectrogram-json": (["spectrogram", "in.wav"], _flags("spectrogram")),
+    "spectrogram-csv": (["spectrogram", "in.wav", "--format", "csv"], _flags("spectrogram")),
+    "filter-dump": (["filter-dump"], _flags("filter-dump")),
     "mix-snr": (["mix", "in.wav", "bed.wav", "--out", "m.wav", "--snr"], MIX_FLAGS),
     "mix-gain": (["mix", "in.wav", "bed.wav", "--out", "m.wav", "--gain"], MIX_FLAGS),
-    "gen-corpus": (["gen-corpus", "--out-dir", "c"], {"--duration": FLOAT_VALUES, "--seed": INT_VALUES} | CONFIG_FLAGS),
+    "gen-corpus": (["gen-corpus", "--out-dir", "c"], {"--duration": FLOAT_VALUES, "--seed": INT_VALUES} | _flags("gen-corpus")),
 }
 # eval and sweep read a manifest of two clips, so that no --jobs value starts more than two workers.
-SCORING_FLAGS = {"--jobs": INT_VALUES} | CONFIG_FLAGS
 SCORING_COMMANDS = {
-    "eval": (["eval", "--manifest", "m.json"], SCORING_FLAGS),
-    "sweep": (["sweep", "--manifest", "m.json", "--csv", "grid.csv", "--windows", "--thresholds"], SCORING_FLAGS),
+    "eval": (["eval", "--manifest", "m.json"], {"--jobs": INT_VALUES} | _flags("eval")),
+    "sweep": (["sweep", "--manifest", "m.json", "--csv", "grid.csv", "--windows", "--thresholds"],
+              {"--jobs": INT_VALUES} | _flags("sweep")),
 }
 
 

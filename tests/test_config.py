@@ -1,5 +1,6 @@
 """The settings schema: config-file values, echo of every setting, the repro
-threshold precedence, the man page, and a property test over config files."""
+threshold precedence, the config flags each subcommand takes, the man page,
+and a property test over config files."""
 
 import argparse
 import contextlib
@@ -8,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from vadkit import AudioBuffer, CliConfig, load_config, write_wav
+from vadkit import AudioBuffer, CliConfig, LabeledClip, load_config, save_manifest, write_wav
 from vadkit.cli import build_parser, main
 from vadkit.errors import BadConfig
 
@@ -56,9 +58,10 @@ def test_every_setting_reaches_effective_config(tmp_path):
     assert echoed == FILE_VALUES
     assert {k: type(v) for k, v in echoed.items()} == {k: type(v) for k, v in FILE_VALUES.items()}
 
+    # repro-figures chains every stage, so it alone takes every flag.
     flags = [arg for f in FLAGGED for arg in (f.metadata["flag"], FLAG_VALUES[f.name])]
-    assert _main(["filter-dump", "--out", tmp_path / "flags.json", "--config", cfg, *flags])[0] == 0
-    assert _read_json(tmp_path / "flags.json")["effective_config"] == {**FILE_VALUES, **FLAG_VALUES}
+    assert _main(["repro-figures", "--out-dir", tmp_path / "figs", "--config", cfg, *flags])[0] == 0
+    assert _read_json(tmp_path / "figs" / "summary.json")["effective_config"] == {**FILE_VALUES, **FLAG_VALUES}
 
 
 def test_config_values_take_the_field_type(tmp_path):
@@ -119,17 +122,131 @@ def test_repro_figures_threshold_precedence(tmp_path, flags, file_threshold, exp
         assert echoed["threshold_db"] == expected
 
 
+# The config flags each subcommand takes: those of the settings it reads.
+FILTER_FLAGS = ("--sample-rate", "--order", "--low", "--high")
+DETECT_FLAGS = (*FILTER_FLAGS, "--window", "--threshold", "--hop", "--noise-percentile")
+TAKES = {
+    "detect": DETECT_FLAGS,
+    "eval": DETECT_FLAGS,
+    "sweep": (*FILTER_FLAGS, "--hop", "--noise-percentile"),  # --windows and --thresholds set the rest
+    "spectrogram": ("--sample-rate", "--fft-size", "--spectrogram-hop"),
+    "filter-dump": FILTER_FLAGS,
+    "gen-corpus": ("--sample-rate",),
+    "mix": (),
+    "repro-figures": tuple(f.metadata["flag"] for f in FLAGGED),
+}
+FIELD_OF = {f.metadata["flag"]: f.name for f in FLAGGED}
+
+
+def _subparsers() -> dict:
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_takes_the_flags_of_the_settings_it_reads():
+    parsers = _subparsers()
+    assert set(parsers) == set(TAKES)
+    for name, parser in parsers.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert "--config" in flags, name
+        assert flags & set(FIELD_OF) == set(TAKES[name]), name
+        shown = set(re.findall(r"--[a-z-]+", parser.format_help()))
+        assert shown & set(FIELD_OF) == set(TAKES[name]), name
+    assert sum(map(len, TAKES.values())) == 40
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """A 3 s clip whose 1 kHz tone rises 40 dB over a hum at 100 Hz and a tone at 4 kHz, both out
+    of band, so that each filter setting moves the noise floor and every frame's SNR; a bed to mix
+    in; and a manifest that labels the clip's second half speech."""
+    root = tmp_path_factory.mktemp("flag-inputs")
+    t = np.arange(48000) / 16000
+    floor = 0.1 * np.sin(2 * np.pi * 100 * t) + 0.1 * np.sin(2 * np.pi * 4000 * t)
+    noise = 0.01 * np.random.default_rng(5).standard_normal(t.size)
+    speech = 0.005 * 100 ** (t / 3) * np.sin(2 * np.pi * 1000 * t)
+    write_wav(AudioBuffer(floor + noise + speech, 16000), root / "clip.wav")
+    write_wav(AudioBuffer(noise, 16000), root / "bed.wav")
+    save_manifest([LabeledClip(str(root / "clip.wav"), ((1.5, 3.0),))], root / "m.json")
+    return root
+
+
+def _base_argv(command: str, inputs) -> list:
+    """A command line of each subcommand, its outputs relative to the working directory."""
+    return {
+        "detect": ["detect", inputs / "clip.wav", "--out", "d.json", "--frames-csv", "d.csv"],
+        "eval": ["eval", "--manifest", inputs / "m.json", "--window", "0.06", "--threshold", "10"],
+        "sweep": ["sweep", "--manifest", inputs / "m.json", "--windows", "0.05,0.1", "--thresholds", "5,10,15,20"],
+        "spectrogram": ["spectrogram", inputs / "clip.wav", "--out", "s.json"],
+        "filter-dump": ["filter-dump"],
+        "gen-corpus": ["gen-corpus", "--out-dir", "c", "--duration", "3.2"],
+        "mix": ["mix", inputs / "clip.wav", inputs / "bed.wav", "--out", "m.wav", "--snr", "10"],
+        "repro-figures": ["repro-figures", "--out-dir", "figs"],
+    }[command]
+
+
+def _written(directory, argv) -> tuple[int, dict]:
+    """The exit code of argv run in the new directory, argparse's refusals included, and the bytes
+    of every file it wrote there; a JSON file's without its effective_config."""
+    directory.mkdir()
+    here = os.getcwd()
+    os.chdir(directory)
+    try:
+        code, _ = _main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(here)
+    written = {}
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            payload = json.loads(data)
+            if isinstance(payload, dict):
+                payload.pop("effective_config", None)
+            data = json.dumps(payload)  # NaN compares equal as text
+        written[str(path.relative_to(directory))] = data
+    return code, written
+
+
+@pytest.mark.parametrize("command", sorted(c for c in TAKES if len(TAKES[c]) < len(FIELD_OF)))
+def test_a_config_flag_the_subcommand_does_not_read_exits_2_and_writes_nothing(tmp_path, flag_inputs, command):
+    base = _base_argv(command, flag_inputs)
+    for flag in (f for f in FIELD_OF if f not in TAKES[command]):
+        assert _written(tmp_path / flag, [*base, flag, FLAG_VALUES[FIELD_OF[flag]]]) == (2, {}), flag
+
+
+@pytest.mark.parametrize("command", sorted(c for c in TAKES if TAKES[c]))
+def test_every_config_flag_the_subcommand_takes_changes_what_it_writes(tmp_path, flag_inputs, command):
+    base = _base_argv(command, flag_inputs)
+    code, before = _written(tmp_path / "base", base)
+    assert code == 0 and before
+    for flag in TAKES[command]:
+        code, after = _written(tmp_path / flag, [*base, flag, FLAG_VALUES[FIELD_OF[flag]]])
+        assert code == 0, flag
+        assert after.keys() == before.keys() and after != before, flag
+
+
 def test_man_page_names_every_setting():
     text = (Path(__file__).parents[1] / "docs" / "vadkit.1.md").read_text()
     for field in FIELDS:
         assert f"`{field.name}`" in text, field.name
     # Every flag of every subcommand, the settings' flags among them.
-    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for name, parser in subcommands.choices.items():
+    parsers = _subparsers()
+    for name, parser in parsers.items():
         for action in parser._actions:
             for flag in action.option_strings:
                 if flag.startswith("--"):
                     assert f"**{flag}**" in text, (name, flag)
+    # Each OPTIONS entry of --config and of the settings' flags lists the subcommands that take them.
+    options = text.split("## OPTIONS")[1].split("\n## ")[0]
+    listed = {}
+    for entry in options.split("\n\n**")[1:]:
+        names = re.search(r"Subcommands: ([^.]*)\.", entry)
+        for flag in re.findall(r"(--[a-z-]+)\*\*", entry.split("\n")[0]):
+            listed[flag] = set(re.findall(r"[a-z-]+", names[1])) if names else None
+    for flag in ("--config", *FIELD_OF):
+        assert listed[flag] == {name for name, parser in parsers.items() if flag in parser._option_string_actions}, flag
 
 
 class Raw(str):

@@ -4,6 +4,8 @@ import collections
 import dataclasses
 import itertools
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -497,8 +499,6 @@ def test_sweep_csv_format(corpus_dir, tmp_path):
 
 
 def test_pool_starts_no_more_workers_than_clips(corpus_dir, monkeypatch):
-    from vadkit import evaluate
-
     sizes = []
 
     class SerialPool:  # records the pool size and maps in this process, so that no worker starts
@@ -514,10 +514,18 @@ def test_pool_starts_no_more_workers_than_clips(corpus_dir, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(evaluate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     clips, cascade = _sweep_fixture(corpus_dir)
     config = VadConfig(snr_threshold_db=9.0)
     assert evaluate_clips(clips[:3], cascade, config, jobs=100000) == evaluate_clips(clips[:3], cascade, config)
     sweep(clips[:2], [0.31], [6.0], cascade, jobs=5)
     evaluate_clips(clips[:3], cascade, config, jobs=2)
     assert sizes == [3, 2, 2]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool's module and multiprocessing load only when a second worker runs."""
+    code = "import sys, vadkit.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
