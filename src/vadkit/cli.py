@@ -283,6 +283,21 @@ def cmd_repro_figures(args) -> int:
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. It takes no abbreviations, as sweep's --window and --threshold would read as
+    --windows and --thresholds, and it refuses the arguments it does not take itself, so that the message
+    shows the subcommand's usage line rather than the top-level one."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vadkit",
@@ -290,9 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         "SNR thresholding, plus mixing, spectrograms, and evaluation tools.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    # No abbreviations: sweep's --window and --threshold would read as --windows and --thresholds.
-    full_flags = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=full_flags)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("detect", help="run the detector on a WAV file")
     p.add_argument("input", help="input WAV path")

@@ -122,10 +122,11 @@ def naive_polyphase(xpad, phase_taps, up, down, n_out, pad):
     return y
 
 
-def naive_sos(b, a, x):
+def naive_sos(b, a, x, dtype=np.float64):
     """Biquad cascade as one loop per sample: transposed direct form II,
-    one pass per section, zero initial state."""
-    y = np.array(x, dtype=np.float64)
+    one pass per section, zero initial state, every sum in dtype
+    (np.longdouble has a 64-bit mantissa on x86-64)."""
+    y = np.array(x, dtype=dtype)
     for s in range(b.shape[0]):
         b0, b1, b2 = b[s]
         a1, a2 = a[s]

@@ -676,3 +676,21 @@ def test_help_and_version_text_is_unchanged_by_earlier_calls(argv, cli_corpus, t
     done = _fresh_process(argv, tmp_path)
     assert done.returncode == 0
     assert printed == [done.stdout, done.stdout]
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["mix", "a.wav", "b.wav", "--out", "m.wav", "--snr", "1", "--order", "12"], "--order 12"),
+    (["sweep", "--manifest", "m.json", "--windows", "0.31", "--thresholds", "6", "--window", "0.05"], "--window 0.05"),
+    (["gen-corpus", "--out-dir", "c", "--fft-size", "3"], "--fft-size 3"),
+    (["detect", "in.wav", "--out", "d.json", "--no-such-flag"], "--no-such-flag"),
+])
+def test_refused_flag_prints_the_subcommand_usage(argv, refused, capsys, chdir_tmp):
+    """A flag that a subcommand does not take exits 2 with that subcommand's usage line, not the top-level
+    one, and writes nothing."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: vadkit {argv[0]} ")
+    assert f"vadkit {argv[0]}: error: unrecognized arguments: {refused}" in err
+    assert not list(chdir_tmp.iterdir())

@@ -24,7 +24,7 @@ SOS_DESIGNS = (
     (12, 1000.0, 1001.0, 16000),  # pole radius 0.99995
     (6, 300.0, 1500.0, 16000),  # one fused pair and a lone section
 )
-ROW, SUB = _kernels.ROW, _kernels.SUB
+ROW, SUB, PASS = _kernels.ROW, _kernels.SUB, _kernels.PASS
 # Past 40000 the lengths straddle a row, end inside a sub-block after three
 # rows, and carry the state from one pass of the cascade's rows to the next.
 SOS_LENGTHS = (
@@ -63,6 +63,53 @@ def test_sos_matches_loop_oracle(design):
         if n:
             err = np.max(np.abs(loop - fast)) / np.max(np.abs(loop))
             assert err < RELATIVE_BOUND, (n, err)
+
+
+# Low bands at high rates, whose poles sit close to z = 1, where the state
+# basis is poorly conditioned and powers of A amplify rounding. Against the
+# loop in np.longdouble the block scan reads 2.4e-12 and 5.4e-12 on them;
+# the row loop and sub-block scan it replaced read 1.2e-11 and 2.0e-11.
+LOW_BAND_DESIGNS = ((12, 30.0, 60.0, 44100), (8, 20.0, 40.0, 48000))
+LOW_BAND_BOUND = 8e-12
+
+
+@pytest.mark.parametrize("design", LOW_BAND_DESIGNS, ids=lambda d: "order{}-{:g}-{:g}Hz-at-{}".format(*d))
+def test_low_bands_match_extended_loop(design):
+    b, a = _coefficients(*design)
+    plan = _kernels.sos_plan(b, a)
+    rng = np.random.default_rng(design[0])
+    for n in SOS_LENGTHS[1:]:
+        x = rng.standard_normal(n)
+        loop = naive_sos(b, a, x, np.longdouble)
+        err = float(np.max(np.abs(loop - _filtered(plan, x))) / np.max(np.abs(loop)))
+        assert err < LOW_BAND_BOUND, (n, err)
+
+
+# np.matmul calls per fused pair and pass: row drives, group scan, group carry,
+# sub-block drives, first-drive lift, sub-block scan and output. `_pair_rows`
+# spells each of its products np.matmul, so that this test sees them all.
+PRODUCTS_PER_PAIR = 7
+
+
+@pytest.mark.parametrize("order", [4, 6, 12])
+def test_a_pass_runs_a_fixed_number_of_products_per_pair(monkeypatch, order):
+    """The same products for a pass of _CASCADE_ROWS rows as for one row, and
+    no other product: none runs per row or per sub-block."""
+    plan = _kernels.sos_plan(*_coefficients(order, 300.0, 3400.0, 16000))
+    rng = np.random.default_rng(order)
+    matmul, calls = np.matmul, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    for n, passes in ((PASS, 1), (ROW, 1), (2 * PASS + 1, 3)):
+        x = rng.standard_normal(n)
+        calls.clear()
+        monkeypatch.setattr(np, "matmul", counted)
+        _filtered(plan, x)
+        monkeypatch.undo()
+        assert len(calls) == PRODUCTS_PER_PAIR * len(plan) * passes, (n, calls)
 
 
 def test_polyphase_matches_loop_oracle():

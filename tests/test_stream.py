@@ -21,12 +21,12 @@ def _whole_array_filter(plan, x):
     n = x.shape[0]
     rows = np.zeros((-(-n // ROW), ROW))
     rows.reshape(-1)[:n] = x
-    spare = np.empty((min(rows.shape[0], _kernels._CASCADE_ROWS) * (ROW // _kernels.SUB), _kernels.SUB + 4))
+    buffers = _kernels.PassBuffers()
     carried = [(0.0,) * 4] * len(plan)
     for r0 in range(0, rows.shape[0], _kernels._CASCADE_ROWS):
         group = rows[r0 : r0 + _kernels._CASCADE_ROWS]
         for i, pair in enumerate(plan):
-            carried[i] = _kernels._pair_rows(pair, group, spare[: group.size // _kernels.SUB], carried[i])
+            carried[i] = _kernels._pair_rows(pair, group, buffers, carried[i])
     return rows.reshape(-1)[:n]
 
 
