@@ -49,14 +49,15 @@ of the kernel tests:
   on the order-2 300-1500 Hz band at 16 kHz.
 - The start state comes before the samples in the output product: 4.6e-16
   instead of 5.0e-16 on the same band.
-- Every plan matrix is rounded to double once from np.longdouble. A^k up to
-  A^ROW comes from one scalar recurrence per section, and the powers of
-  A^SUB and of A^ROW from products.
+- Every plan matrix is rounded to double once from one table of the
+  pair's powers A^0 .. A^ROW, made by products in np.longdouble.
 
-The error is then 1.7e-13 on the order-8 300-320 Hz band at 48 kHz,
-5.5e-12 on the order-4 and order-8 20-40 Hz bands at 48 kHz and 4.6e-16 on
-the order-2 band. The plan's convolutions cost ROW^2 (0.8 ms for one pair
-at 512, 2.5 ms at 1024), and every command builds its own plan.
+The error is then 1.4e-13 on the order-8 300-320 Hz band at 48 kHz,
+4.7e-12 and 5.7e-12 on the order-8 and order-4 20-40 Hz bands at 48 kHz and
+4.6e-16 on the order-2 band. Every command builds its own plan: about
+0.35 ms for the default order-4 design and 1.0 ms for the order-12 one
+(median of 30 calls on a 2-vCPU x86-64 host), most of it in the table's
+longdouble products.
 `sos_plan` builds each pair's matrices once; `sos_passes` runs them, one
 pass of PASS samples at a time through the fixed arrays of a `PassBuffers`.
 
@@ -134,78 +135,42 @@ def sos_plan(b, a) -> tuple:
     taps, (A^SUB)^T, sub-block plan, output matrix), as `_pair_rows` uses
     them.
     """
-    sections = [_section_sequences(bs, as_) for bs, as_ in zip(b, a)]
+    sections = list(zip(b, a))
     if len(sections) % 2:
-        sections.append(_section_sequences(*_PASS_THROUGH))
+        sections.append(_PASS_THROUGH)
     return tuple(_pair_plan(first, second) for first, second in zip(sections[::2], sections[1::2]))
 
 
-def _section_sequences(b, a) -> tuple:
-    """(h, u, powers) of one section: impulse response, u[k] = A^k B and A^k, for k = 0 .. ROW, in np.longdouble.
-
-    For A = [[-a1, 1], [-a2, 0]], A^k = [[f[k+1], f[k]], [-a2 f[k], -a2 f[k-1]]]
-    with f[0] = 0, f[1] = 1 and f[k+1] = -a1 f[k] - a2 f[k-1], so one scalar
-    recurrence gives every power. It runs in np.longdouble (64-bit mantissa
-    on x86-64, plain double elsewhere), and each plan matrix is rounded to
-    double once.
-    """
-    b0, b1, b2 = (np.longdouble(v) for v in b)
-    a1, a2 = (np.longdouble(v) for v in a)
-    f = [np.longdouble(0.0), np.longdouble(1.0)]
-    for _ in range(ROW):
-        f.append(-a1 * f[-1] - a2 * f[-2])
-    powers = np.empty((ROW + 1, 2, 2), dtype=np.longdouble)
-    powers[:, 0, 0] = f[1:]
-    powers[:, 0, 1] = f[:-1]
-    powers[0, 1] = (0.0, 1.0)
-    powers[1:, 1] = -a2 * powers[:-1, 0]
-    u = powers @ np.array([b1 - a1 * b0, b2 - a2 * b0])
-    h = np.concatenate(([b0], u[:-1, 0]))  # h[0] = b0, h[k] = (A^(k-1) B)[0]
-    return h, u, powers
-
-
 def _pair_plan(first, second) -> tuple:
-    """One 4-state system for two sections in series, the first feeding the second.
+    """The plan of two (b, a) sections in series, the first feeding the second, as one 4-state system.
 
-    With states (s1, s2) the system is A = [[A1, 0], [B2 C1, A2]],
-    B = [B1; b0_1 B2] and C = [b0_2 C1, C2], where C = [1, 0]. Its powers
-    are block lower triangular, A^k = [[A1^k, 0], [X_k, A2^k]], with
-    X_k = sum_j A2^(k-1-j) B2 C1 A1^j. Every term the plan needs is a
-    convolution of the two sections' sequences: the impulse response is
-    h1 * h2, the lower half of A^k B is h1 * u2 and the upper half of
-    C A^k is h2 * C1 A1^k. A^SUB comes from the sequences, and its
-    powers and those of A^ROW = (A^SUB)^(ROW/SUB) from products, all in
-    np.longdouble.
+    A = [[A1, 0], [B2 C1, A2]], B = [B1; b0_1 B2], C = [b0_2 C1, C1] and
+    D = b0_1 b0_2, with C1 = [1, 0], in np.longdouble (a 64-bit mantissa on
+    x86-64, plain double elsewhere). Every plan matrix comes from the powers
+    A^0 .. A^ROW and is rounded to double once.
     """
-    h1, u1, p1 = first
-    h2, u2, p2 = second
-    v1 = p1[:, 0]  # C1 A1^k
-    h1d, u2d = h1[:ROW].astype(float), u2[:ROW].astype(float)  # ROW-long convolutions run in double, for speed
-    taps = np.empty((ROW, _STATES))  # taps[k] = A^k B
-    taps[:, :2] = u1[:ROW]
-    for i in range(2):
-        taps[:, 2 + i] = np.convolve(h1d, u2d[:, i])[:ROW]
-    impulse = np.convolve(h1[:SUB], h2[:SUB])[:SUB].astype(float)
+    b_1, a_1, b_2, a_2 = (np.array(v, dtype=np.longdouble) for v in (*first, *second))
+    drive_1, drive_2 = b_1[1:] - a_1 * b_1[0], b_2[1:] - a_2 * b_2[0]  # B1, B2
+    a = np.zeros((_STATES, _STATES), dtype=np.longdouble)
+    a[:2, 0], a[2:, 0], a[2:, 2] = -a_1, drive_2, -a_2  # Ai = [[-a1, 1], [-a2, 0]]; B2 C1 is column 0
+    a[0, 1] = a[2, 3] = 1
+    b = np.concatenate([drive_1, b_1[0] * drive_2])
+    c = np.array([b_2[0], 0, 1, 0], dtype=np.longdouble)
+    powers = _powers(a, ROW + 1)  # A^k
+    taps = powers[:ROW] @ b  # taps[k] = A^k B
+    observer = (c @ powers[:SUB]).T.astype(float, order="C")  # column i is C A^i
+    impulse = np.concatenate([[b_1[0] * b_2[0]], taps[: SUB - 1] @ c]).astype(float)  # D, then C A^(k-1) B
     lag = np.arange(SUB)[:, None] - np.arange(SUB)[None, :]
     toeplitz = np.where(lag >= 0, impulse[np.maximum(lag, 0)], 0.0)
-    observer = np.empty((_STATES, SUB))  # column i is C A^i
-    for i in range(2):
-        observer[i] = np.convolve(h2[:SUB], v1[:SUB, i])[:SUB]
-    observer[2:] = p2[:SUB, 0].T
-    sub_step = np.zeros((_STATES, _STATES), dtype=np.longdouble)  # A^SUB
-    sub_step[:2, :2] = p1[SUB]
-    sub_step[2:, :2] = u2[SUB - 1 :: -1].T @ v1[:SUB]  # X_SUB
-    sub_step[2:, 2:] = p2[SUB]
-    sub_powers = _powers(sub_step, _SUBS + 1)  # A^(k SUB), up to A^ROW
-    row_powers = _powers(sub_powers[_SUBS], _GROUP_ROWS + 1)  # A^(i ROW)
-    sub_t = sub_powers[:_SUBS].transpose(0, 2, 1).astype(float)
+    row_powers = _powers(powers[ROW], _GROUP_ROWS + 1)  # A^(i ROW)
+    sub_t = powers[:ROW:SUB].transpose(0, 2, 1).astype(float)  # (A^(k SUB))^T
     row_t = row_powers.transpose(0, 2, 1).astype(float)
     return (
-        np.ascontiguousarray(taps[::-1]),
+        np.ascontiguousarray(taps[::-1], dtype=float),
         _scan_matrix(row_t[:_GROUP_ROWS], 0),
         row_t[1:].transpose(1, 0, 2).reshape(_STATES, -1),  # block i is (A^((i + 1) ROW))^T
         tuple(row_powers[_GROUP_ROWS].astype(float).reshape(-1).tolist()),
-        np.ascontiguousarray(taps[SUB - 1 :: -1]),
+        np.ascontiguousarray(taps[SUB - 1 :: -1], dtype=float),
         sub_t[1].copy(),
         _scan_matrix(sub_t, 1),
         np.concatenate([observer, toeplitz.T]),

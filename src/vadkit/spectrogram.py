@@ -50,7 +50,7 @@ def hann_window(size: int) -> np.ndarray:
 
 
 def check_fft(fft_size: int, hop_samples: int, n: int) -> None:
-    """InvalidFft unless fft_size is a power of two up to SIZE_LIMIT and hop_samples is positive.
+    """InvalidFft unless fft_size is a power of two and hop_samples is positive, both up to SIZE_LIMIT.
 
     The frames of n samples, ceil(n / hop_samples) rows of fft_size, may
     hold SIZE_LIMIT samples, or _UPSAMPLING_LIMIT times n where that is
@@ -62,6 +62,8 @@ def check_fft(fft_size: int, hop_samples: int, n: int) -> None:
         raise InvalidFft(f"fft size {fft_size} is over the limit of {SIZE_LIMIT} samples")
     if hop_samples <= 0:
         raise InvalidFft(f"spectrogram hop must be positive, got {hop_samples}")
+    if hop_samples > SIZE_LIMIT:
+        raise InvalidFft(f"spectrogram hop {hop_samples} is over the limit of {SIZE_LIMIT} samples")
     cells = -(-n // hop_samples) * fft_size
     if cells > max(SIZE_LIMIT, _UPSAMPLING_LIMIT * n):
         raise InvalidFft(

@@ -224,12 +224,16 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         # Just over the 2**24-sample limit, refused before the array is allocated.
         (["detect", "z.wav", "--window", "1048.6"], None, "window_length_s of 1048.6 s"),
         (["spectrogram", "z.wav", "--fft-size", "33554432"], None, "fft size 33554432"),
+        (["spectrogram", "z.wav", "--spectrogram-hop", "1152921504606846976"], None,
+         "spectrogram hop 1152921504606846976"),
+        (["spectrogram", "z.wav", "--config", "bad.json"], '{"spectrogram_hop": 1e300}', "spectrogram hop"),
         (["gen-corpus", "--out-dir", "corpus", "--duration", "1048.6"], None, "clip_duration_s of 1048.6 s"),
         (["gen-corpus", "--out-dir", "corpus", "--seed", "-1"], None, "seed"),
         # repro-figures checks every setting before its first file.
         (["repro-figures", "--out-dir", "figs", "--fft-size", "1000"], None, "fft size"),
         (["repro-figures", "--out-dir", "figs", "--fft-size", "33554432"], None, "fft size 33554432"),
         (["repro-figures", "--out-dir", "figs", "--spectrogram-hop", "0"], None, "spectrogram hop"),
+        (["repro-figures", "--out-dir", "figs", "--spectrogram-hop", "1152921504606846976"], None, "spectrogram hop"),
         (["repro-figures", "--out-dir", "figs", "--window", "1048.6"], None, "window_length_s"),
         (["repro-figures", "--out-dir", "figs", "--order", "3"], None, "order"),
         (["repro-figures", "--out-dir", "figs", "--seed", "-1"], None, "seed"),
@@ -284,11 +288,14 @@ _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
         "detect-resample-table-too-large",
         "detect-window-over-size-limit",
         "spectrogram-fft-over-size-limit",
+        "spectrogram-hop-over-size-limit",
+        "config-spectrogram-hop-1e300",
         "gen-corpus-duration-over-size-limit",
         "gen-corpus-negative-seed",
         "repro-fft-not-power-of-two",
         "repro-fft-over-size-limit",
         "repro-spectrogram-hop-zero",
+        "repro-spectrogram-hop-over-size-limit",
         "repro-window-over-size-limit",
         "repro-odd-order",
         "repro-negative-seed",

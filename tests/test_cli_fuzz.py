@@ -20,7 +20,10 @@ from vadkit.config import value_type
 # Extreme and degenerate values, each spelled as a user would type it.
 FLOAT_VALUES = ["0", "1", "-1", "0.5", "4", "1e-9", "1e12", "1e308", "-1e308", "nan", "inf", "-inf", "3e9"]
 # int flags also get float spellings, which argparse refuses with exit 2.
-INT_VALUES = ["0", "1", "-1", "2", "4", "3000000000", "1000000000000", "1e12", "nan", "3e9"]
+INT_VALUES = [
+    "0", "1", "-1", "2", "4", "3000000000", "1000000000000", "1152921504606846976", "100000000000000000000",
+    "1e12", "nan", "3e9",
+]
 
 CONFIG_FLAGS = {
     f.metadata["flag"]: INT_VALUES if value_type(f) is int else FLOAT_VALUES

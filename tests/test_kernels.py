@@ -67,9 +67,15 @@ def test_sos_matches_loop_oracle(design):
 
 # Low bands at high rates, whose poles sit close to z = 1, where the state
 # basis is poorly conditioned and powers of A amplify rounding. Against the
-# loop in np.longdouble the block scan reads 2.4e-12 and 5.4e-12 on them;
-# the row loop and sub-block scan it replaced read 1.2e-11 and 2.0e-11.
-LOW_BAND_DESIGNS = ((12, 30.0, 60.0, 44100), (8, 20.0, 40.0, 48000))
+# loop in np.longdouble the block scan reads 2.7e-12, 4.7e-12, 5.7e-12 and
+# 7.1e-13 on them; the row loop and sub-block scan before it read 1.2e-11
+# and 2.0e-11 on the first two.
+LOW_BAND_DESIGNS = (
+    (12, 30.0, 60.0, 44100),
+    (8, 20.0, 40.0, 48000),
+    (4, 20.0, 40.0, 48000),
+    (12, 100.0, 110.0, 48000),
+)
 LOW_BAND_BOUND = 8e-12
 
 

@@ -89,6 +89,8 @@ def test_validation():
         spectrogram(buf, fft_size=1024, hop_samples=0)
     with pytest.raises(InvalidFft, match="over the limit"):
         spectrogram(buf, fft_size=2**25)
+    with pytest.raises(InvalidFft, match="hop 1152921504606846976 is over the limit"):
+        spectrogram(buf, hop_samples=2**60)
     with pytest.raises(EmptySignal):
         spectrogram(AudioBuffer(np.zeros(0), 16000))
 
