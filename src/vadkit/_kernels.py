@@ -13,18 +13,19 @@ section is the transposed-direct-form-II state space
 
 Sections are taken in pairs, and each pair runs as one 4-state system (an
 odd last section is paired with a pass-through). A pass of PASS samples
-runs each pair at three levels, with seven products and one Python loop of
-at most _CASCADE_ROWS / _GROUP_ROWS = 8 steps, whatever ROW and SUB are:
+runs each pair at three levels, with eight products and no Python loop,
+whatever ROW and SUB are:
 
 - Rows of ROW samples. One product with the taps A^(ROW-1-j) B gives the
   state each row adds from zero, its drive.
 - Groups of _GROUP_ROWS rows, a blocked prefix scan (Blelloch, "Prefix sums
   and their applications", 1990). One product with a block-triangular plan
   matrix, of the powers of A^ROW, turns a group's drives into the state
-  after each of its rows from zero. The loop carries the state from group
-  to group, s <- A^(16 ROW) s + the group's end state, and one product
-  adds each group's start state, stepped by A^((i+1) ROW), to its rows.
-  That gives every row's start state.
+  after each of its rows from zero. One product with a block-triangular
+  matrix of the powers of A^(16 ROW) turns the pass's start state and each
+  group's end state into every group's start state, and one more adds
+  each group's start state, stepped by A^((i+1) ROW), to its rows. That
+  gives every row's start state.
 - Sub-blocks of SUB samples. One product gives each sub-block's drive, and
   one (A^SUB times each row's start state) is added to the drive of the
   row's first sub-block. A block-triangular matrix of the powers of A^SUB
@@ -52,11 +53,11 @@ of the kernel tests:
 - Every plan matrix is rounded to double once from one table of the
   pair's powers A^0 .. A^ROW, made by products in np.longdouble.
 
-The error is then 1.4e-13 on the order-8 300-320 Hz band at 48 kHz,
-4.7e-12 and 5.7e-12 on the order-8 and order-4 20-40 Hz bands at 48 kHz and
+The error is then 1.5e-13 on the order-8 300-320 Hz band at 48 kHz,
+5.5e-12 and 5.7e-12 on the order-8 and order-4 20-40 Hz bands at 48 kHz and
 4.6e-16 on the order-2 band. Every command builds its own plan: about
-0.35 ms for the default order-4 design and 1.0 ms for the order-12 one
-(median of 30 calls on a 2-vCPU x86-64 host), most of it in the table's
+0.4 ms for the default order-4 design and 1.2 ms for the order-12 one
+(median of 800 calls on a 2-vCPU x86-64 host), most of it in the table's
 longdouble products.
 `sos_plan` builds each pair's matrices once; `sos_passes` runs them, one
 pass of PASS samples at a time through the fixed arrays of a `PassBuffers`.
@@ -131,9 +132,9 @@ def sos_plan(b, a) -> tuple:
 
     b holds (b0, b1, b2) and a holds (a1, a2) per section. An odd last
     section is paired with a pass-through section. Each entry is (row drive
-    taps, group plan, carry plan, A^(16 ROW) as 16 floats, sub-block drive
-    taps, (A^SUB)^T, sub-block plan, output matrix), as `_pair_rows` uses
-    them.
+    taps, group plan, carry plan, group carry plan, sub-block drive taps,
+    (A^SUB)^T, sub-block plan, output matrix): the right operands of the
+    eight products, no Python loop, that `_pair_rows` runs per pass.
     """
     sections = list(zip(b, a))
     if len(sections) % 2:
@@ -165,11 +166,12 @@ def _pair_plan(first, second) -> tuple:
     row_powers = _powers(powers[ROW], _GROUP_ROWS + 1)  # A^(i ROW)
     sub_t = powers[:ROW:SUB].transpose(0, 2, 1).astype(float)  # (A^(k SUB))^T
     row_t = row_powers.transpose(0, 2, 1).astype(float)
+    group_t = _powers(row_powers[_GROUP_ROWS], _CASCADE_ROWS // _GROUP_ROWS).transpose(0, 2, 1).astype(float)
     return (
         np.ascontiguousarray(taps[::-1], dtype=float),
         _scan_matrix(row_t[:_GROUP_ROWS], 0),
         row_t[1:].transpose(1, 0, 2).reshape(_STATES, -1),  # block i is (A^((i + 1) ROW))^T
-        tuple(row_powers[_GROUP_ROWS].astype(float).reshape(-1).tolist()),
+        _scan_matrix(group_t, 0),  # block (m, k) is (A^(16 ROW))^(k - m), transposed
         np.ascontiguousarray(taps[SUB - 1 :: -1], dtype=float),
         sub_t[1].copy(),
         _scan_matrix(sub_t, 1),
@@ -197,17 +199,9 @@ def _scan_matrix(powers_t, shift):
     gives in block k the sum over m of state m stepped k - m - shift times.
     """
     n = powers_t.shape[0]
-    blocks = np.concatenate([np.zeros((1, _STATES, _STATES)), powers_t[: n - shift]])
-    return blocks.reshape(-1)[_scan_index(n, shift)]
-
-
-@functools.cache
-def _scan_index(n, shift):
-    """Where `_scan_matrix` reads each entry in its flattened blocks: block 0 is zero, block j + 1 is power j."""
-    m, a, k, b = np.ix_(*(np.arange(size) for size in (n, _STATES, n, _STATES)))
-    lag = k - m - shift
-    index = (np.where(lag >= 0, lag + 1, 0) * _STATES + a) * _STATES + b
-    return index.reshape(n * _STATES, n * _STATES)
+    blocks = np.concatenate([np.zeros((1, _STATES, _STATES)), powers_t])  # block 0 is zero, block j + 1 is power j
+    lag = np.arange(n) - np.arange(n)[:, None] - shift  # lag[m, k] = k - m - shift
+    return blocks[np.maximum(lag + 1, 0)].transpose(0, 2, 1, 3).reshape(n * _STATES, n * _STATES)
 
 
 class PassBuffers:
@@ -274,14 +268,13 @@ def sos_passes(plan, x, buffers: PassBuffers):
 def _pair_rows(pair, x, buffers, state):
     """One fused pair from the rows of x back into x, from the 4-state `state`; returns the state after them.
 
-    Seven products and one loop over the groups of _GROUP_ROWS rows (see
-    the module docstring), through the arrays of buffers and x itself.
+    Eight products, no Python loop (see the module docstring), through the
+    arrays of buffers and x itself.
     """
-    row_taps, group_plan, carry_plan, group_step, sub_taps, sub_step_t, sub_plan, output = pair
-    p11, p12, _, _, p21, p22, _, _, x11, x12, q11, q12, x21, x22, q21, q22 = group_step  # A^(16 ROW), row by row
+    row_taps, group_plan, carry_plan, group_scan, sub_taps, sub_step_t, sub_plan, output = pair
     rows = x.shape[0]
     groups = -(-rows // _GROUP_ROWS)
-    # Rows: each row's drive, the state after each row of a group from zero, the carry from group to group,
+    # Rows: each row's drive, the state after each row of a group from zero, each group's start state,
     # and then each row's start state.
     drives = buffers.drives[: groups * _GROUP_ROWS]
     np.matmul(x, row_taps, out=drives[:rows])  # state each row adds: sum_j A^(ROW-1-j) B x[j]
@@ -290,18 +283,10 @@ def _pair_rows(pair, x, buffers, state):
     states[0] = state
     after = states[1:].reshape(groups, -1)
     np.matmul(drives.reshape(groups, -1), group_plan, out=after)
-    carried = []  # the state at the start of each group
-    s1, s2, s3, s4 = state
-    for u1, u2, u3, u4 in after[:, -_STATES:].tolist():
-        carried.append((s1, s2, s3, s4))
-        s1, s2, s3, s4 = (
-            p11 * s1 + p12 * s2 + u1,
-            p21 * s1 + p22 * s2 + u2,
-            x11 * s1 + x12 * s2 + q11 * s3 + q12 * s4 + u3,
-            x21 * s1 + x22 * s2 + q21 * s3 + q22 * s4 + u4,
-        )
+    ends = states[: groups * _GROUP_ROWS : _GROUP_ROWS].reshape(-1)  # the pass's start state, then each group's end
+    starts = np.matmul(ends, group_scan[: ends.size, : ends.size])  # the state at the start of each group
     lift = buffers.carry[:groups]
-    np.matmul(np.array(carried), carry_plan, out=lift)
+    np.matmul(starts.reshape(groups, _STATES), carry_plan, out=lift)
     after += lift
     # Sub-blocks: the samples go into the output product's operand, and x, which the output product
     # overwrites, holds each sub-block's drive and then every sub-block's start state in the same way.

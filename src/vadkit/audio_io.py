@@ -115,7 +115,8 @@ def read_wav(path: str | Path, sample_rate_hz: int | None = None) -> tuple[Audio
     the file.
 
     Raises:
-        IoFailure: file missing or unreadable.
+        IoFailure: file missing or unreadable, or a pipe or FIFO, which
+            the chunk walk cannot seek in.
         MalformedWav: broken container, a file shorter than its chunks say,
             or non-finite float samples.
         UnsupportedFormat: any other format code, sample width or
@@ -124,6 +125,8 @@ def read_wav(path: str | Path, sample_rate_hz: int | None = None) -> tuple[Audio
     """
     try:
         with open(path, "rb") as fh:
+            if not fh.seekable():
+                raise IoFailure(f"cannot read {path}: it is a pipe or FIFO, and the input must be a file")
             fmt, data_start, data_size, to_end = _find_chunks(fh, path)
             meta, dtype, full_scale = _parse_fmt(fmt, data_size, to_end, path)
             rate = meta.sample_rate_hz if sample_rate_hz is None else sample_rate_hz

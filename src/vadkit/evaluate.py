@@ -23,6 +23,11 @@ from .filters import BiquadCascade, filter_passes
 from .vad import VadConfig, VadResult, WindowEnergies, config_to_dict, energies_db, feed_squares
 
 
+# Grid points a sweep takes, at most. Each point holds about 2.1 KB of records: 49 windows by 1,210
+# thresholds (59,290 points) peaked at 170 MB and took 1.5 s, and 10^7 points would need about 20 GB.
+GRID_LIMIT = 2**16
+
+
 @dataclass(frozen=True)
 class LabeledClip:
     audio_path: str
@@ -254,16 +259,22 @@ def sweep(
     Each grid point is base_config with its window and threshold, built by
     `dataclasses.replace` in grid order, so that VadConfig checks every
     point before any clip is read: the first point it refuses, such as a
-    window shorter than the hop, raises SweepFailure naming it. The clips
-    are then scored by `_chunk_counts` (over `jobs` processes), which
-    takes frame energies once per clip and window and scores every threshold
-    from them. Best point maximizes F1, ties broken by lower threshold, then
+    window shorter than the hop, raises SweepFailure naming it. A grid of
+    more than GRID_LIMIT points raises SweepFailure before any point is
+    built. The clips are then scored by `_chunk_counts` (over `jobs`
+    processes), which takes frame energies once per clip and window and
+    scores every threshold from them. Best point maximizes F1, ties broken by lower threshold, then
     shorter window.
     """
     windows_s = [float(w) for w in windows_s]
     thresholds_db = [float(t) for t in thresholds_db]
     if not clips or not windows_s or not thresholds_db:
         raise SweepFailure("sweep needs at least one clip, window, and threshold")
+    if len(windows_s) * len(thresholds_db) > GRID_LIMIT:
+        raise SweepFailure(
+            f"a grid of {len(windows_s)} windows by {len(thresholds_db)} thresholds has"
+            f" {len(windows_s) * len(thresholds_db):,} points, over the limit of {GRID_LIMIT:,}"
+        )
     points = []
     for window_s, threshold_db in itertools.product(windows_s, thresholds_db):
         try:

@@ -168,6 +168,30 @@ def test_sweep_bad_thresholds_exit_2(cli_corpus, tmp_path, capsys):
     assert code == 2
 
 
+def test_sweep_grid_over_the_limit_exits_2_before_reading_a_clip(capsys, chdir_tmp):
+    """257 windows by 256 thresholds, one point over GRID_LIMIT, over a manifest whose clip does not exist:
+    refused by its count, before any grid point is built or the clip is read."""
+    import tracemalloc
+
+    from vadkit.evaluate import GRID_LIMIT
+
+    (chdir_tmp / "m.json").write_text(json.dumps([{"audio_path": "missing.wav", "speech_intervals": []}]))
+    windows = ",".join(f"{0.02 + 0.001 * i:g}" for i in range(257))
+    thresholds = ",".join(str(t) for t in range(256))
+    assert 257 * 256 > GRID_LIMIT
+    tracemalloc.start()
+    try:
+        code = _run(["sweep", "--manifest", "m.json", "--windows", windows, "--thresholds", thresholds,
+                     "--out", "s.json", "--csv", "s.csv"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "65,792 points, over the limit of 65,536" in capsys.readouterr().err
+    assert os.listdir(chdir_tmp) == ["m.json"]
+    assert peak < 1 << 20, peak  # about 0.27 MB: no grid point is built
+
+
 _SWEEP = ["sweep", "--windows", "0.31", "--thresholds", "12", "--manifest"]
 _MIX = ["mix", "z.wav", "z.wav", "--gain", "0.5", "--out", "m.wav", "--speech-labels", "bad.json"]
 _DETECT_CONFIG = ["detect", "z.wav", "--config", "bad.json"]
@@ -625,13 +649,38 @@ def test_version_flag():
     assert "0.1.0" in out.stdout
 
 
-def _fresh_process(argv, cwd):
+def _fresh_process(argv, cwd, stdin=None):
     """`python -m vadkit.cli argv` in a new process, in cwd, with help text laid out for 80 columns."""
     import vadkit
 
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(vadkit.__file__)), "COLUMNS": "80"}
-    return subprocess.run([sys.executable, "-m", "vadkit.cli", *map(str, argv)], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "vadkit.cli", *map(str, argv)], cwd=cwd, env=env, stdin=stdin,
                           capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [["detect", "/dev/stdin", "--out", "d.json", "--frames-csv", "d.csv"],
+                                  ["spectrogram", "/dev/stdin", "--out", "s.json"]])
+def test_piped_input_exits_2_and_writes_nothing(argv, chdir_tmp):
+    """`cat z.wav | vadkit ... /dev/stdin` names the pipe instead of reading it as a WAV without chunks."""
+    write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
+    with subprocess.Popen(["cat", "z.wav"], stdout=subprocess.PIPE) as cat:
+        done = _fresh_process(argv, chdir_tmp, stdin=cat.stdout)
+    assert done.returncode == 2
+    assert "/dev/stdin: it is a pipe or FIFO, and the input must be a file" in done.stderr
+    assert os.listdir(chdir_tmp) == ["z.wav"]
+
+
+def test_redirected_file_reads_as_the_file(chdir_tmp):
+    """`vadkit detect /dev/stdin < z.wav` reads a regular file, and writes what `detect z.wav` writes."""
+    write_wav(AudioBuffer(0.1 * np.sin(0.05 * np.arange(16000)), 16000), chdir_tmp / "z.wav")
+    with open(chdir_tmp / "z.wav", "rb") as fh:
+        done = _fresh_process(["detect", "/dev/stdin", "--out", "r.json", "--frames-csv", "r.csv"], chdir_tmp, fh)
+    assert done.returncode == 0, done.stderr
+    assert _run(["detect", "z.wav", "--out", "f.json", "--frames-csv", "f.csv"]) == 0
+    redirected = (chdir_tmp / "r.json").read_bytes()
+    assert redirected.count(b'"/dev/stdin"') == 1  # input_path, the one field that differs
+    assert redirected.replace(b'"/dev/stdin"', b'"z.wav"') == (chdir_tmp / "f.json").read_bytes()
+    assert (chdir_tmp / "r.csv").read_bytes() == (chdir_tmp / "f.csv").read_bytes()
 
 
 def _files(root) -> dict:

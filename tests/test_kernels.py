@@ -67,8 +67,8 @@ def test_sos_matches_loop_oracle(design):
 
 # Low bands at high rates, whose poles sit close to z = 1, where the state
 # basis is poorly conditioned and powers of A amplify rounding. Against the
-# loop in np.longdouble the block scan reads 2.7e-12, 4.7e-12, 5.7e-12 and
-# 7.1e-13 on them; the row loop and sub-block scan before it read 1.2e-11
+# loop in np.longdouble the block scan reads 3.2e-12, 5.5e-12, 5.7e-12 and
+# 6.9e-13 on them; the row loop and sub-block scan before it read 1.2e-11
 # and 2.0e-11 on the first two.
 LOW_BAND_DESIGNS = (
     (12, 30.0, 60.0, 44100),
@@ -91,10 +91,11 @@ def test_low_bands_match_extended_loop(design):
         assert err < LOW_BAND_BOUND, (n, err)
 
 
-# np.matmul calls per fused pair and pass: row drives, group scan, group carry,
-# sub-block drives, first-drive lift, sub-block scan and output. `_pair_rows`
-# spells each of its products np.matmul, so that this test sees them all.
-PRODUCTS_PER_PAIR = 7
+# np.matmul calls per fused pair and pass: row drives, group scan, the carry scan
+# from group to group, group carry, sub-block drives, first-drive lift, sub-block
+# scan and output. `_pair_rows` spells each of its products np.matmul, so that
+# this test sees them all.
+PRODUCTS_PER_PAIR = 8
 
 
 @pytest.mark.parametrize("order", [4, 6, 12])
@@ -116,6 +117,20 @@ def test_a_pass_runs_a_fixed_number_of_products_per_pair(monkeypatch, order):
         _filtered(plan, x)
         monkeypatch.undo()
         assert len(calls) == PRODUCTS_PER_PAIR * len(plan) * passes, (n, calls)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("shift", [0, 1])
+def test_scan_matrix_matches_block_loop(n, shift):
+    """Block (m, k) of `_scan_matrix` is powers_t[k - m - shift], and zero where that index is negative."""
+    states = _kernels._STATES
+    powers_t = np.random.default_rng([n, shift]).standard_normal((n, states, states))
+    loop = np.zeros((n * states, n * states))
+    for m in range(n):
+        for k in range(n):
+            if k - m - shift >= 0:
+                loop[m * states : (m + 1) * states, k * states : (k + 1) * states] = powers_t[k - m - shift]
+    assert _kernels._scan_matrix(powers_t, shift).tobytes() == loop.tobytes()
 
 
 def test_polyphase_matches_loop_oracle():

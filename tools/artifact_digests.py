@@ -129,6 +129,11 @@ COMMANDS = [
     ("sweep-p20-h10", ["sweep", "--manifest", _MANIFEST, "--windows", "0.02,0.05,0.31", "--thresholds", "3,9,15",
                        "--noise-percentile", "0.2", "--hop", "0.01",
                        "--out", "sweep_p20.json", "--csv", "sweep_p20.csv"]),
+    # Poles of radius 0.99995: A^(16 ROW) is about 0.66, so the state carried from one group of rows to
+    # the next moves the output, which no design above does.
+    ("detect-order12-1000-1001Hz", ["detect", _CLIP, "--out", "detect_narrow.json",
+                                    "--frames-csv", "detect_narrow.csv",
+                                    "--order", "12", "--low", "1000", "--high", "1001", "--threshold", "12"]),
 ]
 
 
